@@ -147,7 +147,11 @@ def time_avg_moment(ev: EvolutionData, horizon: float, p: float, *,
     quad = math.nan
     agree = math.inf
     while True:
-        x, w = np.polynomial.laguerre.laggauss(n_q)
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.laguerre.laggauss(n_q)
+        if not np.all(np.isfinite(w)):
+            raise QuadratureDisagreement(
+                f"Gauss-Laguerre weights are not finite at {n_q} nodes")
         ts = big_t * x / 2.0
         vals = np.empty_like(ts)
         for i, t in enumerate(ts):
@@ -155,10 +159,10 @@ def time_avg_moment(ev: EvolutionData, horizon: float, p: float, *,
             vals[i] = float(np.sum(wgt * amp2))
         quad = float(np.sum(w * vals))
         agree = abs(quad - exact) / max(1.0, abs(exact))
-        if agree <= rtol or 2 * n_q > node_cap:
+        if agree <= rtol or 2 * n_q > node_cap or math.isnan(agree):
             break
         n_q *= 2
-    if agree > rtol:
+    if not agree <= rtol:
         raise QuadratureDisagreement(
             f"quadrature stalled at {n_q} nodes with relative spread "
             f"{agree:.2e}; spectral phases beat faster than the grid")

@@ -5,9 +5,20 @@ on the half-integer lattice.  Centers are stored as doubled integers so that
 membership is exact integer arithmetic; a site ``k`` belongs to the box iff
 ``max_i |2 k_i - c2_i| <= floor(2L)``.
 
-Several helpers in this module are unit-agnostic: they operate on integer
-coordinate arrays and work equally on plain sites and on doubled half-lattice
-coordinates, as long as both arguments use the same convention.
+A site set has one representation: the canonical ``(n, d)`` int64 array
+returned by ``canonical_sites``, rows deduplicated and in lexicographic
+order.  Every set operation lives here and works on that form; membership
+encodes rows as linear indices on the joint bounding box and calls
+``np.isin``.  ``site_tuples`` only converts sites to hashable keys.  The
+helpers are unit-agnostic: they work equally on plain sites and on doubled
+half-lattice coordinates, as long as both arguments use the same convention.
+
+One fixpoint, ``_absorb``, adjoins tiles to a set, with two triggers:
+block construction in ``qplab.msa`` absorbs a lower-scale enlarged block
+when the block itself meets the set (intersection trigger), and
+``regular_deformation`` absorbs one when the box of its test radius meets
+the set (neighbourhood trigger).  The closure checkers test the
+intersection clause through a separate witness, ``_first_cut``.
 """
 
 from __future__ import annotations
@@ -133,10 +144,22 @@ def as_sites(obj) -> np.ndarray:
         return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 1).astype(np.int64)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
     out = np.rint(arr).astype(np.int64)
     if np.max(np.abs(arr - out)) > 1e-9:
         raise ValueError("site coordinates must be integers")
     return out
+
+
+def _linear_keys(*sets: np.ndarray):
+    """Row-major int64 indices of nonempty (n, d) arrays on their joint
+    bounding box, with the box corner and shape.  Keys order like the rows
+    do lexicographically, so sorting keys sorts sites."""
+    lo = np.min([a.min(axis=0) for a in sets], axis=0)
+    hi = np.max([a.max(axis=0) for a in sets], axis=0)
+    shape = tuple(int(v) for v in hi - lo + 1)
+    return [np.ravel_multi_index((a - lo).T, shape) for a in sets], lo, shape
 
 
 def canonical_sites(sites) -> np.ndarray:
@@ -144,10 +167,12 @@ def canonical_sites(sites) -> np.ndarray:
     arr = as_sites(sites)
     if arr.shape[0] == 0:
         return arr
-    return np.unique(arr, axis=0)
+    (keys,), lo, shape = _linear_keys(arr)
+    return np.stack(np.unravel_index(np.unique(keys), shape), axis=1) + lo
 
 
 def site_tuples(sites) -> set:
+    """Hashable keys of the sites, for dictionaries keyed by site."""
     return {tuple(int(v) for v in row) for row in as_sites(sites)}
 
 
@@ -180,15 +205,24 @@ def sets_intersect(a, b) -> bool:
     a, b = as_sites(a), as_sites(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return False
-    return not site_tuples(a).isdisjoint(site_tuples(b))
+    (ka, kb), _, _ = _linear_keys(a, b)
+    return bool(np.isin(ka, kb).any())
 
 
 def set_contains(outer, inner) -> bool:
     """True iff every site of ``inner`` belongs to ``outer``."""
-    inner = as_sites(inner)
+    inner, outer = as_sites(inner), as_sites(outer)
     if inner.shape[0] == 0:
         return True
-    return site_tuples(inner) <= site_tuples(outer)
+    if outer.shape[0] == 0:
+        return False
+    (ki, ko), _, _ = _linear_keys(inner, outer)
+    return bool(np.isin(ki, ko).all())
+
+
+def set_union(*sets) -> np.ndarray:
+    """Canonical union of site sets of one dimension."""
+    return canonical_sites(np.concatenate([as_sites(a) for a in sets]))
 
 
 def set_diameter(sites) -> int:
@@ -200,8 +234,8 @@ def set_diameter(sites) -> int:
 
 def symmetric_about_origin(sites) -> bool:
     """True iff the set is invariant under coordinate negation."""
-    pts = site_tuples(sites)
-    return all(tuple(-c for c in p) in pts for p in pts)
+    arr = canonical_sites(sites)
+    return bool(np.array_equal(arr, canonical_sites(-arr)))
 
 
 def serialize_sites(sites) -> list:
@@ -434,69 +468,85 @@ def _block_reach2(center2, sites) -> int:
     return int(np.max(np.abs(2 * as_sites(sites) - c2)))
 
 
+def _absorb(sites, tiles: Sequence, triggers: Sequence, max_rounds: int):
+    """Least superset of ``sites`` that holds every tile whose trigger meets it.
+
+    ``tiles[i]`` is adjoined once ``triggers[i]`` meets the current set.  A
+    round tests every tile not yet taken against the set as it stood when
+    the round began, so the closure does not depend on the order of the
+    tiles; that order only orders the taken indices within a round.
+
+    The two callers use different triggers.  ``construct_blocks`` passes
+    the tiles themselves (intersection trigger: a lower-scale enlarged block
+    that meets a block is swallowed).  ``regular_deformation`` passes the
+    box of each block's test radius around its center (neighbourhood
+    trigger).  When the test radius reaches the block's realized radius, as
+    it does by default and in the levels ``deformation_levels`` builds, that
+    box covers the block: the neighbourhood closure then also satisfies the
+    intersection clause, and may absorb blocks that only come near the set.
+    Both checkers test the intersection clause alone.  Whether the paper
+    means the two rules to differ is open: ``PAPER.md`` holds only the
+    abstract, which does not state the absorption rules.
+
+    Returns the closed canonical set, the indices of the taken tiles in the
+    order taken, and the number of rounds including the last, which adds no
+    site.  Raises NonConvergence past ``max_rounds`` rounds.
+    """
+    current = canonical_sites(sites)
+    taken: list = []
+    for rounds in range(1, max_rounds + 1):
+        hits = [i for i, trigger in enumerate(triggers)
+                if i not in taken and sets_intersect(trigger, current)]
+        taken += hits
+        grown = set_union(current, *(tiles[i] for i in hits))
+        if grown.shape[0] == current.shape[0]:
+            return current, taken, rounds
+        current = grown
+    raise NonConvergence(f"absorption did not stabilize in {max_rounds} rounds")
+
+
+def _first_cut(sites, tiles: Sequence) -> int | None:
+    """Index of the first tile that meets ``sites`` without lying inside it,
+    or None.  The closure witness: it shares no code with ``_absorb``."""
+    for i, tile in enumerate(tiles):
+        if sets_intersect(sites, tile) and not set_contains(sites, tile):
+            return i
+    return None
+
+
+def _by_scale(levels: Sequence[DeformationLevel]) -> list:
+    """(level, center2, sites) for every block, highest scale first."""
+    return [(level, center2, sites)
+            for level in sorted(levels, key=lambda lev: -lev.scale)
+            for center2, sites in level.blocks]
+
+
 def regular_deformation(seed, levels: Sequence[DeformationLevel], *,
                         max_rounds: int = 64):
-    """Close a site set under enlarged-block absorption, scale by scale.
+    """Close a site set under enlarged-block absorption across all scales.
 
-    Starting from the seed set, scales are processed in descending order; a
-    block is adjoined whenever the box of its test radius meets the current
-    set.  The loop repeats over all scales until a global fixpoint, so late
-    lower-scale growth cannot silently re-expose a higher scale.
+    Starting from the seed set, a block is adjoined whenever the box of its
+    test radius meets the current set.  Rounds repeat over all scales until
+    a global fixpoint, so late lower-scale growth cannot silently re-expose
+    a higher scale; ``passes`` counts those rounds.
 
     Returns the closed set (canonical site array) and a report carrying the
     realized pad ``max_{x in B*} dist(x, B)``.
     """
     seed_arr = canonical_sites(seed)
-    current = site_tuples(seed_arr)
-    ordered = sorted(levels, key=lambda lev: -lev.scale)
-    absorbed: list[tuple[int, tuple]] = []
-    taken = set()
-
-    passes = 0
-    changed = True
-    while changed:
-        passes += 1
-        if passes > max_rounds:
-            raise NonConvergence(
-                f"deformation did not stabilize in {max_rounds} passes")
-        changed = False
-        for level in ordered:
-            stable = False
-            rounds = 0
-            while not stable:
-                rounds += 1
-                if rounds > max_rounds:
-                    raise NonConvergence(
-                        f"scale {level.scale} absorption did not stabilize")
-                stable = True
-                if not current:
-                    break
-                cur_arr = as_sites(sorted(current))
-                for center2, sites in level.blocks:
-                    key = (level.scale, center2)
-                    if key in taken:
-                        continue
-                    reach2 = (level.test_reach2 if level.test_reach2 is not None
-                              else _block_reach2(center2, sites))
-                    c2 = np.asarray(center2, dtype=np.int64)
-                    near = np.max(np.abs(2 * cur_arr - c2), axis=1) <= reach2
-                    if bool(near.any()):
-                        taken.add(key)
-                        new = site_tuples(sites) - current
-                        if new:
-                            current |= new
-                            stable = False
-                            changed = True
-                            cur_arr = as_sites(sorted(current))
-                        absorbed.append(key)
-
-    out = canonical_sites(sorted(current)) if current else seed_arr
+    blocks = _by_scale(levels)
+    triggers = [LatticeBox(c2, (lev.test_reach2 if lev.test_reach2 is not None
+                                else _block_reach2(c2, sites)) / 2.0)
+                for lev, c2, sites in blocks]
+    out, taken, passes = _absorb(seed_arr, [b[2] for b in blocks], triggers,
+                                 max_rounds)
     if out.shape[0] and seed_arr.shape[0]:
         chunk = np.abs(out[:, None, :] - seed_arr[None, :, :]).max(axis=2)
         pad = float(chunk.min(axis=1).max())
     else:
         pad = 0.0
-    report = DeformationReport(passes, tuple(absorbed), pad,
+    absorbed = tuple((blocks[i][0].scale, blocks[i][1]) for i in taken)
+    report = DeformationReport(passes, absorbed, pad,
                                int(seed_arr.shape[0]), int(out.shape[0]))
     return out, report
 
@@ -504,15 +554,9 @@ def regular_deformation(seed, levels: Sequence[DeformationLevel], *,
 def regularity_witness(sites, levels: Sequence[DeformationLevel]):
     """Independent closure predicate: the first block that meets the set
     without being contained, or None when the set is regular."""
-    pts = site_tuples(sites)
-    if not pts:
-        return None
-    for level in sorted(levels, key=lambda lev: -lev.scale):
-        for center2, block_sites in level.blocks:
-            block = site_tuples(block_sites)
-            if not block.isdisjoint(pts) and not block <= pts:
-                return (level.scale, center2)
-    return None
+    blocks = _by_scale(levels)
+    i = _first_cut(sites, [sites_b for _, _, sites_b in blocks])
+    return None if i is None else (blocks[i][0].scale, blocks[i][1])
 
 
 def is_regular(sites, levels: Sequence[DeformationLevel]) -> bool:

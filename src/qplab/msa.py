@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +36,18 @@ from .errors import (
     WindowTooSmall,
 )
 from .greens import DecayFit, decay_scan, green_solve
-from .lattice import LatticeBox, deformation_level, set_diameter, site_tuples
+from .lattice import (
+    LatticeBox,
+    _absorb,
+    _first_cut,
+    canonical_sites,
+    deformation_level,
+    set_contains,
+    set_diameter,
+    set_union,
+    sup_dist_sets,
+    symmetric_about_origin,
+)
 from .model import (
     EnergyPoint,
     ModelSpec,
@@ -227,13 +239,6 @@ def build_schedule(mode: str, *, alpha: float, rho: float, rho_prime: float,
 # working representation of a center k throughout this module.
 
 
-def _lex_sorted(arr2: np.ndarray) -> np.ndarray:
-    if arr2.shape[0] <= 1:
-        return arr2
-    order = np.lexsort(arr2.T[::-1])
-    return arr2[order]
-
-
 @dataclass(frozen=True)
 class ResonanceStructure:
     s: int
@@ -249,22 +254,11 @@ class ResonanceStructure:
 
     @property
     def q2(self) -> np.ndarray:
-        if self.q_plus2.shape[0] == 0:
-            return self.q_minus2
-        if self.q_minus2.shape[0] == 0:
-            return self.q_plus2
-        return _lex_sorted(np.unique(
-            np.concatenate([self.q_plus2, self.q_minus2]), axis=0))
+        return set_union(self.q_plus2, self.q_minus2)
 
     @property
     def q_tilde2(self) -> np.ndarray:
-        if self.q_tilde_plus2.shape[0] == 0:
-            return self.q_tilde_minus2
-        if self.q_tilde_minus2.shape[0] == 0:
-            return self.q_tilde_plus2
-        return _lex_sorted(np.unique(
-            np.concatenate([self.q_tilde_plus2, self.q_tilde_minus2]),
-            axis=0))
+        return set_union(self.q_tilde_plus2, self.q_tilde_minus2)
 
 
 def detect_resonances(model: ModelSpec, theta: complex, s: int,
@@ -285,15 +279,14 @@ def detect_resonances(model: ModelSpec, theta: complex, s: int,
         empty = cand2.reshape(0, len(offset2))
         return ResonanceStructure(s, complex(theta_s), tuple(offset2), empty,
                                   empty, empty, empty, empty, delta, d_tilde)
+    cand2 = canonical_sites(cand2)
     phase = complex(theta) + (cand2 / 2.0) @ omega
     rp = torus_norm(phase + complex(theta_s))
     rm = torus_norm(phase - complex(theta_s))
     return ResonanceStructure(
-        s, complex(theta_s), tuple(int(v) for v in offset2),
-        _lex_sorted(cand2),
-        _lex_sorted(cand2[rp < delta]), _lex_sorted(cand2[rm < delta]),
-        _lex_sorted(cand2[rp < d_tilde]), _lex_sorted(cand2[rm < d_tilde]),
-        delta, d_tilde)
+        s, complex(theta_s), tuple(int(v) for v in offset2), cand2,
+        cand2[rp < delta], cand2[rm < delta],
+        cand2[rp < d_tilde], cand2[rm < d_tilde], delta, d_tilde)
 
 
 @dataclass(frozen=True)
@@ -341,7 +334,7 @@ def advance_resonances(res: ResonanceStructure, case: CaseData,
     pair across ``l`` into a midpoint center whose core is the union.
     """
 
-    def core_of(c2: tuple) -> np.ndarray:
+    def core_of(c2) -> np.ndarray:
         if cores is None:
             return np.asarray([c2], dtype=np.int64)
         key = tuple(int(v) for v in c2)
@@ -357,20 +350,12 @@ def advance_resonances(res: ResonanceStructure, case: CaseData,
                      for c2 in p_next}
         return p_next, res.offset2, new_cores
 
-    l2 = np.asarray([2 * v for v in case.l], dtype=np.int64)
-    o_set = {tuple(int(v) for v in row) for row in res.q_minus2}
-    o_set |= {tuple(int(v) for v in (row - l2))
-              for row in res.q_plus2}
-    centers = []
-    new_cores = {}
-    for o2 in sorted(o_set):
-        c2 = tuple(int(v) for v in (np.asarray(o2) + l2 // 2))
-        a = core_of(o2)
-        b = core_of(tuple(int(v) for v in (np.asarray(o2) + l2)))
-        new_cores[c2] = _lex_sorted(np.unique(
-            np.concatenate([a, b]), axis=0))
-        centers.append(c2)
-    p_next = _lex_sorted(np.asarray(sorted(set(centers)), dtype=np.int64))
+    l = np.asarray(case.l, dtype=np.int64)
+    origins = set_union(res.q_minus2, res.q_plus2 - 2 * l)
+    new_cores = {tuple(int(v) for v in o2 + l):
+                 set_union(core_of(o2), core_of(o2 + 2 * l))
+                 for o2 in origins}
+    p_next = origins + l
     offset2 = tuple(int(a + b) for a, b in zip(res.offset2, case.l))
     return p_next, offset2, new_cores
 
@@ -403,32 +388,6 @@ class BlockFamily:
         return [tuple(int(v) for v in row) for row in self.centers2]
 
 
-def _ball_sites(c2: np.ndarray, reach2: int, window: LatticeBox) -> set:
-    d = c2.size
-    axes = []
-    for a in range(d):
-        lo = int(math.ceil((c2[a] - reach2) / 2.0))
-        hi = int(math.floor((c2[a] + reach2) / 2.0))
-        axes.append(range(lo, hi + 1))
-    out = set()
-
-    def rec(prefix, rest):
-        if not rest:
-            out.add(prefix)
-            return
-        for v in rest[0]:
-            rec(prefix + (v,), rest[1:])
-
-    rec((), axes)
-    wc2 = np.asarray(window.center2, dtype=np.int64)
-    for p in out:
-        if np.max(np.abs(2 * np.asarray(p) - wc2)) > window.reach2:
-            raise WindowTooSmall(
-                f"block around {tuple(float(x) / 2 for x in c2.tolist())} "
-                "escapes the working window; enlarge it")
-    return out
-
-
 def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                      offset2, schedule: ScaleSchedule,
                      lower: Sequence["BlockFamily"], window: LatticeBox,
@@ -445,47 +404,32 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     if p2.shape[0] == 0:
         raise PreconditionViolated("cannot build blocks for an empty P_s")
     r_res, r_dbl, r_enl = schedule.radii(s, case)
-    lower_tiles = []
-    for fam in lower:
-        for key in fam.center_keys():
-            lower_tiles.append(site_tuples(fam.enlarged[key]))
+    lower_tiles = [fam.enlarged[key] for fam in lower
+                   for key in fam.center_keys()]
+    keys = [tuple(int(v) for v in row) for row in p2]
 
     levels = {}
     for name, radius in (("resonant", r_res), ("doubled", r_dbl),
                          ("enlarged", r_enl)):
-        blocks = {tuple(int(v) for v in c2):
-                  _ball_sites(np.asarray(c2), 2 * radius, window)
-                  for c2 in p2}
+        blocks = {key: LatticeBox(key, float(radius)).sites for key in keys}
+        for key, blk in blocks.items():
+            if not window.contains_sites(blk).all():
+                raise WindowTooSmall(
+                    f"block around {tuple(c / 2 for c in key)} "
+                    "escapes the working window; enlarge it")
         for _ in range(max_rounds):
-            changed = False
-            for key, blk in blocks.items():
-                grown = True
-                while grown:
-                    grown = False
-                    for tile in lower_tiles:
-                        if tile <= blk or blk.isdisjoint(tile):
-                            continue
-                        blk |= tile
-                        grown = changed = True
-                blocks[key] = blk
-            template = set()
-            for key, blk in blocks.items():
-                c2 = np.asarray(key)
-                for n in blk:
-                    template.add(tuple(2 * np.asarray(n) - c2))
-            template |= {tuple(-np.asarray(t)) for t in template}
-            for key in blocks:
-                c2 = np.asarray(key)
-                uni = {tuple((np.asarray(t2) + c2) // 2) for t2 in template}
-                if uni != blocks[key]:
-                    for n in uni:
-                        if np.max(np.abs(2 * np.asarray(n)
-                                         - np.asarray(window.center2))
-                                  ) > window.reach2:
-                            raise WindowTooSmall(
-                                "symmetrized block escapes the window")
-                    blocks[key] = uni
-                    changed = True
+            # a round that takes no tile ends the absorption
+            grown = [2 * _absorb(blk, lower_tiles, lower_tiles,
+                                 len(lower_tiles) + 1)[0] - np.asarray(key)
+                     for key, blk in blocks.items()]
+            template = set_union(*grown)
+            template = set_union(template, -template)
+            uni = {key: (template + np.asarray(key)) // 2 for key in keys}
+            if not all(window.contains_sites(b).all() for b in uni.values()):
+                raise WindowTooSmall("symmetrized block escapes the window")
+            changed = any(not np.array_equal(uni[key], blocks[key])
+                          for key in keys)
+            blocks = uni
             if not changed:
                 break
         else:
@@ -494,80 +438,54 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                 "structure is too dense")
         levels[name] = (blocks, template, radius)
 
-    # nesting and pad accounting
-    realized_pad = 0
-    for name, radius in (("resonant", r_res), ("doubled", r_dbl),
-                         ("enlarged", r_enl)):
-        blocks, template, _ = levels[name]
-        worst = max(max(abs(c) for c in t2) for t2 in template)
-        realized_pad = max(realized_pad, int(math.ceil(worst / 2.0)) - radius)
+    # nesting and pad accounting: every block is its level's template
+    # translated to its center, so nesting reduces to the templates
+    realized_pad = max(int(math.ceil(np.abs(tpl).max() / 2.0)) - r
+                       for _, tpl, r in levels.values())
     budget = schedule.pad_budget(s)
-    keys = [tuple(int(v) for v in row) for row in p2]
-    for key in keys:
-        res_b = levels["resonant"][0][key]
-        dbl_b = levels["doubled"][0][key]
-        enl_b = levels["enlarged"][0][key]
-        if not (res_b <= dbl_b and dbl_b <= enl_b):
-            raise PreconditionViolated(
-                "block nesting failed; the pad outgrew the radius gaps")
+    (res_b, res_t, _), (dbl_b, dbl_t, _), (enl_b, enl_t, _) = (
+        levels["resonant"], levels["doubled"], levels["enlarged"])
+    if not (set_contains(dbl_t, res_t) and set_contains(enl_t, dbl_t)):
+        raise PreconditionViolated(
+            "block nesting failed; the pad outgrew the radius gaps")
 
-    enlarged = levels["enlarged"][0]
-    diam = set_diameter(np.asarray(sorted(enlarged[keys[0]]),
-                                   dtype=np.int64))
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            sa = np.asarray(sorted(enlarged[keys[a]]), dtype=np.int64)
-            sb = np.asarray(sorted(enlarged[keys[b]]), dtype=np.int64)
-            gap = float(np.min(np.abs(sa[:, None, :] - sb[None, :, :])
-                               .max(axis=2)))
-            if gap <= 10.0 * diam:
-                raise SeparationViolated(
-                    f"enlarged blocks at {keys[a]} and {keys[b]} are only "
-                    f"{gap:.0f} apart (diameter {diam})")
+    diam = set_diameter(enl_b[keys[0]])
+    for ka, kb in combinations(keys, 2):
+        gap = sup_dist_sets(enl_b[ka], enl_b[kb])
+        if gap <= 10.0 * diam:
+            raise SeparationViolated(
+                f"enlarged blocks at {ka} and {kb} are only "
+                f"{gap:.0f} apart (diameter {diam})")
 
     core_arrays = {}
     core_template = None
     for key in keys:
-        a2 = np.asarray(cores[key], dtype=np.int64) if key in cores else None
-        if a2 is None:
+        if key not in cores:
             raise PreconditionViolated(f"center {key} has no core")
+        a2 = canonical_sites(cores[key])
         if a2.shape[0] > 2 ** s:
             raise PreconditionViolated(
                 f"core at {key} has {a2.shape[0]} sites, limit {2 ** s}")
-        if any(c % 2 for c in a2.ravel().tolist()):
+        if np.any(a2 % 2):
             raise PreconditionViolated("core sites must be integer sites")
-        core_sites = {tuple(int(v) for v in row // 2) for row in a2}
-        if not core_sites <= levels["resonant"][0][key]:
+        if not set_contains(res_b[key], a2 // 2):
             raise PreconditionViolated(
                 f"core at {key} leaks outside its resonant block")
-        t2 = _lex_sorted((a2 - np.asarray(key)).astype(np.int64))
+        t2 = a2 - np.asarray(key)
         if core_template is None:
             core_template = t2
-        elif t2.shape != core_template.shape or np.any(t2 != core_template):
+        elif not np.array_equal(t2, core_template):
             raise PreconditionViolated(
                 "core layout varies across centers of one scale")
-        core_arrays[key] = _lex_sorted(np.asarray(sorted(core_sites),
-                                                  dtype=np.int64))
-    if core_template is None:
-        raise PreconditionViolated("no cores supplied")
-    neg = _lex_sorted(-core_template)
-    if np.any(neg != core_template):
+        core_arrays[key] = a2 // 2
+    if not symmetric_about_origin(core_template):
         raise PreconditionViolated("core template is not origin-symmetric")
 
-    def freeze(blocks):
-        return {k: _lex_sorted(np.asarray(sorted(v), dtype=np.int64))
-                for k, v in blocks.items()}
-
-    template2 = _lex_sorted(np.asarray(sorted(levels["enlarged"][1]),
-                                       dtype=np.int64))
-    res_f = freeze(levels["resonant"][0])
-    zeta = set_diameter(res_f[keys[0]])
     return BlockFamily(s, case, tuple(int(v) for v in offset2), p2,
-                       res_f, freeze(levels["doubled"][0]),
-                       freeze(enlarged), core_arrays,
+                       res_b, dbl_b, enl_b, core_arrays,
                        (r_res, r_dbl, r_enl), budget,
-                       max(realized_pad, 0), zeta, diam, template2,
-                       core_template)
+                       max(realized_pad, 0), set_diameter(res_b[keys[0]]),
+                       diam, enl_t, core_template)
 
 
 @dataclass(frozen=True)
@@ -589,6 +507,12 @@ class BlockCheckReport:
                 and self.covering_ok and self.cores_ok and self.pad_ok)
 
 
+def _same_symmetric_shape(frames: list) -> tuple:
+    """(all frames equal, the first frame is origin-symmetric)."""
+    same = all(np.array_equal(t, frames[0]) for t in frames)
+    return same, all(symmetric_about_origin(t) for t in frames[:1])
+
+
 def verify_block_family(family: BlockFamily,
                         lower: Sequence[BlockFamily],
                         prev_res: ResonanceStructure | None
@@ -601,72 +525,41 @@ def verify_block_family(family: BlockFamily,
     and the pad budget.
     """
     keys = family.center_keys()
-    lower_tiles = []
-    for fam in lower:
-        for key in fam.center_keys():
-            lower_tiles.append(site_tuples(fam.enlarged[key]))
-    absorption = True
-    for key in keys:
-        for level in (family.resonant, family.doubled, family.enlarged):
-            blk = site_tuples(level[key])
-            for tile in lower_tiles:
-                if not blk.isdisjoint(tile) and not tile <= blk:
-                    absorption = False
+    lower_tiles = [fam.enlarged[key] for fam in lower
+                   for key in fam.center_keys()]
+    absorption = all(
+        _first_cut(level[key], lower_tiles) is None for key in keys
+        for level in (family.resonant, family.doubled, family.enlarged))
 
-    separation = True
-    diam = family.zeta_tilde
-    for a in range(len(keys)):
-        sa = family.enlarged[keys[a]]
-        for b in range(a + 1, len(keys)):
-            sb = family.enlarged[keys[b]]
-            gap = float(np.min(np.abs(sa[:, None, :] - sb[None, :, :])
-                               .max(axis=2)))
-            if gap <= 10.0 * diam:
-                separation = False
+    separation = all(
+        sup_dist_sets(family.enlarged[ka], family.enlarged[kb])
+        > 10.0 * family.zeta_tilde for ka, kb in combinations(keys, 2))
 
-    translation = True
-    symmetry = True
-    ref2 = None
-    for key in keys:
-        t2 = _lex_sorted(2 * family.enlarged[key] - np.asarray(key))
-        if ref2 is None:
-            ref2 = t2
-        elif t2.shape != ref2.shape or np.any(t2 != ref2):
-            translation = False
-    if ref2 is not None and (np.any(_lex_sorted(-ref2) != ref2)):
-        symmetry = False
+    translation, symmetry = _same_symmetric_shape(
+        [canonical_sites(2 * family.enlarged[key] - np.asarray(key))
+         for key in keys])
 
     covering = True
-    if prev_res is not None and prev_res.q2.shape[0] > 0:
-        prev_fam = lower[-1] if lower else None
+    if prev_res is not None:
+        prev_tiles = lower[-1].enlarged if lower else {}
         for kp2 in prev_res.q2:
             kp = tuple(int(v) for v in kp2)
-            if prev_fam is not None and kp in prev_fam.enlarged:
-                tile = site_tuples(prev_fam.enlarged[kp])
+            if kp in prev_tiles:
+                tile = prev_tiles[kp]
+            elif np.any(kp2 % 2):
+                covering = False
+                continue
             else:
-                if any(c % 2 for c in kp):
-                    covering = False
-                    continue
-                tile = {tuple(c // 2 for c in kp)}
-            if not any(tile <= site_tuples(family.resonant[k])
-                       for k in keys):
+                tile = kp2[None, :] // 2
+            if not any(set_contains(family.resonant[k], tile) for k in keys):
                 covering = False
 
-    cores_ok = True
-    ct = None
-    for key in keys:
-        a = family.cores[key]
-        if a.shape[0] > 2 ** family.s:
-            cores_ok = False
-        if not site_tuples(a) <= site_tuples(family.resonant[key]):
-            cores_ok = False
-        t2 = _lex_sorted(2 * a - np.asarray(key))
-        if ct is None:
-            ct = t2
-        elif t2.shape != ct.shape or np.any(t2 != ct):
-            cores_ok = False
-    if ct is not None and np.any(_lex_sorted(-ct) != ct):
-        cores_ok = False
+    cores_ok = all(family.cores[key].shape[0] <= 2 ** family.s
+                   and set_contains(family.resonant[key], family.cores[key])
+                   for key in keys)
+    cores_ok = cores_ok and all(_same_symmetric_shape(
+        [canonical_sites(2 * family.cores[key] - np.asarray(key))
+         for key in keys]))
 
     pad_ok = family.realized_pad <= family.declared_pad
     return BlockCheckReport(absorption, separation, translation, symmetry,
@@ -737,14 +630,22 @@ class ThetaStep:
 
 
 def canonical_root(z: complex) -> complex:
-    """Representative of the root pair {z, -z} mod 1: Re in [0, 1/2]."""
-    z = complex(wrap_to_symmetric(z.real), z.imag)
-    if z.real < 0.0 or (abs(z.real) < 1e-12 and z.imag < 0.0):
-        z = complex(wrap_to_symmetric(-z.real), -z.imag)
-    if abs(z.real + 0.5) < 1e-12:
-        z = complex(0.5, z.imag)
-    if (abs(z.real - 0.5) < 1e-12 or abs(z.real) < 1e-12) and z.imag < 0.0:
-        z = complex(z.real, -z.imag)
+    """Representative of the root pair {z, -z} mod 1: Re in [0, 1/2].
+
+    The real part is reduced exactly and snapped to 0 or 1/2 within
+    ``2**-40`` (about 9.1e-13) before the sign of Im is fixed on those
+    seams.  Rounding ``z + 1`` still moves Re by up to ~4e-16, so inputs
+    that close to the snap edge can land on opposite sides; a power of two
+    keeps decimal inputs such as 1e-12 or 0.5 - 1e-12 off that edge.
+    """
+    re = z.real - round(z.real)
+    if abs(re) < 2.0 ** -40:
+        re = 0.0
+    elif abs(abs(re) - 0.5) < 2.0 ** -40:
+        re = 0.5
+    z = complex(re, z.imag) if re >= 0.0 else complex(-re, -z.imag)
+    if z.real in (0.0, 0.5) and z.imag < 0.0:
+        z = z.conjugate()
     return z
 
 
@@ -1051,30 +952,27 @@ def check_good(run: MsaRun, sites, s: int) -> GoodSetReport:
     """
     if s > run.depth:
         raise ValueError(f"run only reaches scale {run.depth}")
-    lam = site_tuples(np.atleast_2d(np.asarray(sites, dtype=np.int64)))
+    lam = np.atleast_2d(np.asarray(sites, dtype=np.int64))
     failures = []
 
-    def enlarged_tile(scale: int, key: tuple) -> set:
+    def enlarged_tile(scale: int, key: tuple) -> np.ndarray:
         if scale == 0:
-            return {tuple(c // 2 for c in key)}
-        return site_tuples(run.family(scale).enlarged[key])
+            return np.asarray([key], dtype=np.int64) // 2
+        return run.family(scale).enlarged[key]
 
     for sp in range(s):
-        res_sp = run.res(sp)
         fam_next = run.family(sp + 1)
-        res_keys = {tuple(int(v) for v in row) for row in res_sp.q2}
-        for kp in sorted(res_keys):
+        for kp in map(tuple, run.res(sp).q2.tolist()):
             tile = enlarged_tile(sp, kp)
-            if not tile <= lam:
+            if not set_contains(lam, tile):
                 continue
             for key in fam_next.center_keys():
-                if tile <= site_tuples(fam_next.resonant[key]):
-                    if not site_tuples(fam_next.enlarged[key]) <= lam:
-                        failures.append(("carry", sp, kp, key))
+                if (set_contains(fam_next.resonant[key], tile)
+                        and not set_contains(lam, fam_next.enlarged[key])):
+                    failures.append(("carry", sp, kp, key))
 
-    res_s = run.res(s)
-    for kq in sorted({tuple(int(v) for v in row) for row in res_s.q2}):
-        if enlarged_tile(s, kq) <= lam:
+    for kq in map(tuple, run.res(s).q2.tolist()):
+        if set_contains(lam, enlarged_tile(s, kq)):
             failures.append(("resonant", s, kq, None))
     return GoodSetReport(not failures, s, tuple(failures))
 
@@ -1091,17 +989,15 @@ class EstimateReport:
     passed: bool
 
 
-def _log_phase_factor(run: MsaRun, s: int, lam: set) -> float:
+def _log_phase_factor(run: MsaRun, s: int, lam: np.ndarray) -> float:
     """log of the sup over contained enlarged blocks of the inverse
     distance product to the pair of tracked roots."""
     res = run.res(s)
     theta_s = res.theta_s
     best = 0.0
     omega = run.model.frequency.array()
-    for key in ({tuple(int(v) for v in row) for row in res.p2}
-                if s > 0 else set()):
-        tile = site_tuples(run.family(s).enlarged[key])
-        if not tile <= lam:
+    for key in map(tuple, res.p2.tolist() if s > 0 else []):
+        if not set_contains(lam, run.family(s).enlarged[key]):
             continue
         phase = run.theta + float(np.asarray(key, dtype=float) @ omega) / 2.0
         val = -(log_torus_norm(phase - theta_s)
@@ -1138,9 +1034,8 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
         alpha_s = sched.alpha_seq[0]
         threshold = 0.0
     else:
-        lam = site_tuples(sites_arr)
         log_bound = (math.log(2.0) - 3.0 * sched.log_delta[s - 1]
-                     + _log_phase_factor(run, s, lam))
+                     + _log_phase_factor(run, s, sites_arr))
         log_coarse = -3.0 * sched.log_delta[s]
         alpha_s = sched.alpha_seq[s]
         threshold = 10.0 * run.family(s).zeta_tilde

@@ -1,5 +1,8 @@
 """Shared fixtures: the standard cosine model at weak coupling."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,12 @@ from qplab import (
     PotentialSpec,
     box_around,
 )
+
+# pytest's ``pythonpath`` setting reaches this process only; tests that run
+# ``python -m qplab.cli`` in a subprocess need the source tree as well.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Dynamics: propagators, transport moments, and their Green-function bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ def test_time_average_quadrature_guard(weak_ev32):
                         rtol=1e-15)
     with pytest.raises(ValueError):
         time_avg_moment(weak_ev32, -1.0, 2.0)
+
+
+def test_time_average_nonfinite_weights_raise(cosine_potential,
+                                              saturating_kernel,
+                                              golden_frequency):
+    # numpy's laggauss returns non-finite weights from a few hundred nodes
+    # on; doubling into them must stop at once instead of running to the
+    # node cap and reporting a NaN agreement
+    model = ModelSpec(cosine_potential, saturating_kernel, golden_frequency,
+                      0.3, eps0=0.5)
+    ev = evolve_amplitudes(model, box_around(np.zeros(1), 8), 0.113)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureDisagreement, match="not finite"):
+        time_avg_moment(ev, 10.0, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_boundary_mass_warning(cosine_potential, saturating_kernel,

@@ -23,6 +23,8 @@ from qplab.errors import (
     TailNotSmall,
 )
 from qplab.lattice import (
+    _absorb,
+    _first_cut,
     as_sites,
     canonical_sites,
     deformation_level,
@@ -32,6 +34,7 @@ from qplab.lattice import (
     serialize_sites,
     set_contains,
     set_diameter,
+    set_union,
     sets_intersect,
     site_tuples,
     sup_dist_sets,
@@ -133,6 +136,53 @@ def test_set_predicates():
     assert set_diameter(a) == 2
     assert symmetric_about_origin([[-1], [0], [1]])
     assert not symmetric_about_origin([[0], [1]])
+
+
+def _site_sets(dim: int):
+    rows = st.lists(st.tuples(*[st.integers(-5, 5)] * dim), max_size=10)
+    return rows.map(lambda r: np.asarray(r, dtype=np.int64).reshape(-1, dim))
+
+
+def _oracle(sites) -> set:
+    return {tuple(int(v) for v in row) for row in sites}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_set_layer_matches_tuple_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+    a, b = data.draw(_site_sets(dim)), data.draw(_site_sets(dim))
+    ta, tb = _oracle(a), _oracle(b)
+    assert sets_intersect(a, b) == bool(ta & tb)
+    assert set_contains(a, b) == (tb <= ta)
+    assert list(map(tuple, canonical_sites(a).tolist())) == sorted(ta)
+    union = set_union(a, b)
+    assert union.shape == (len(ta | tb), dim)
+    assert list(map(tuple, union.tolist())) == sorted(ta | tb)
+    mirrored = {tuple(-c for c in p) for p in ta}
+    assert symmetric_about_origin(a) == (mirrored == ta)
+    assert symmetric_about_origin(np.concatenate([a, -a]))
+
+    n = data.draw(st.integers(0, 4))
+    tiles = [data.draw(_site_sets(dim)) for _ in range(n)]
+    triggers = [data.draw(_site_sets(dim)) for _ in range(n)]
+    closed, taken, _ = _absorb(a, tiles, triggers, n + 1)
+    want, took = set(ta), set()
+    grew = True
+    while grew:
+        grew = False
+        for i in range(n):
+            if i not in took and _oracle(triggers[i]) & want:
+                took.add(i)
+                grew |= not _oracle(tiles[i]) <= want
+                want |= _oracle(tiles[i])
+    assert list(map(tuple, closed.tolist())) == sorted(want)
+    assert set(taken) == took
+    cut = [i for i, t in enumerate(tiles)
+           if _oracle(t) & ta and not _oracle(t) <= ta]
+    assert _first_cut(a, tiles) == (cut[0] if cut else None)
+    assert _first_cut(closed, [t for i, t in enumerate(tiles)
+                               if i in took]) is None
 
 
 def test_serialize_sites_is_sorted_json_ready():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplab import (
@@ -318,6 +318,7 @@ def test_construct_blocks_core_guards(toy_schedule):
 
 
 @given(st.floats(-3, 3, allow_nan=False), st.floats(-1, 1, allow_nan=False))
+@example(re=1e-12, im=-1.0)
 @settings(max_examples=200, deadline=None)
 def test_canonical_root_properties(re, im):
     z = complex(re, im)
