@@ -31,38 +31,12 @@ from .model import assemble_t_matrix, log_decay_envelope
 LOG2 = float(np.log(2.0))
 
 
-def op_norm_power(a: np.ndarray, iters: int = 50, seed: int = 0) -> float:
-    """Largest singular value via power iteration on ``A* A``.
-
-    Deterministic (fixed seed and iteration count) so stored norms are
-    reproducible bit-for-bit.  Converges from below; the resonant matrices
-    this runs on have well separated top singular values.
-    """
-    a = np.asarray(a)
-    n = a.shape[1]
-    if n == 0:
-        return 0.0
-    x = np.random.default_rng(seed).standard_normal(n)
-    x = x / np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = a.conj().T @ (a @ x)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0
-        est = ny
-        x = y / ny
-    return float(np.sqrt(est))
-
-
-def two_norm(a: np.ndarray, exact_cap: int = 768) -> float:
-    """Spectral norm, exact by SVD up to ``exact_cap``, else power iteration."""
+def two_norm(a: np.ndarray) -> float:
+    """Spectral norm (largest singular value, by SVD)."""
     a = np.asarray(a)
     if min(a.shape) == 0:
         return 0.0
-    if max(a.shape) <= exact_cap:
-        return float(np.linalg.norm(a, 2))
-    return op_norm_power(a)
+    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)
@@ -81,7 +55,9 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
 
     Raises Singular when an LU pivot falls below ``pivot_rtol`` times the
     largest entry, or when the identity residual of the computed inverse
-    exceeds the conditioning-aware tolerance.
+    exceeds the conditioning-aware tolerance.  ``op_norm`` is the exact
+    ``||T^{-1}|| = 1 / sigma_min(T)``; the singular values are taken before
+    the inverse exists, which keeps the peak memory at that of the LU.
     """
     t = np.asarray(t)
     n = t.shape[0]
@@ -90,6 +66,7 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
     scale = float(np.max(np.abs(t)))
     if not np.isfinite(scale) or scale == 0.0:
         raise Singular("matrix entries are zero or non-finite")
+    sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
     lu, piv = lu_factor(t)
     pivot_min = float(np.min(np.abs(np.diag(lu))))
     if not np.isfinite(pivot_min) or pivot_min < pivot_rtol * scale:
@@ -102,7 +79,7 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
     if residual > gate:
         raise Singular(
             f"identity residual {residual:.3e} exceeds gate {gate:.3e}")
-    return GreenMatrix(g, op_norm_power(g), residual, pivot_min)
+    return GreenMatrix(g, 1.0 / sigma_min, residual, pivot_min)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +205,12 @@ class HadamardReport:
     holds: bool
 
 
-def hadamard_adjugate_check(m: np.ndarray, *,
-                            exact_cap: int = 8) -> HadamardReport:
+def hadamard_adjugate_check(m: np.ndarray) -> HadamardReport:
     """Adjugate entries are bounded by (max row l1 sum)^(n-1).
 
-    For n up to ``exact_cap`` the adjugate is computed exactly and compared;
-    beyond that only the bounds are reported (the inequality is a theorem,
-    the check exists to catch implementation drift).
+    For n up to 8 the adjugate is computed exactly and compared; beyond
+    that only the bounds are reported (the inequality is a theorem, the
+    check exists to catch implementation drift).
     """
     m = np.asarray(m)
     n = m.shape[0]
@@ -243,7 +219,7 @@ def hadamard_adjugate_check(m: np.ndarray, *,
     norm_bound = n * entry_bound
     exact = None
     holds = True
-    if n <= exact_cap:
+    if n <= 8:
         exact = float(np.max(np.abs(adjugate(m))))
         holds = exact <= entry_bound * (1.0 + 1e-9) + 1e-300
     return HadamardReport(entry_bound, norm_bound, row, exact, holds)
@@ -308,14 +284,15 @@ def combes_thomas_check(h: np.ndarray, sites: np.ndarray, z: complex,
     weight = np.exp(lam * np.log1p(dist) ** rho)
     off = ~np.eye(h.shape[0], dtype=bool)
     s_lam = float(np.max(np.sum(np.abs(h) * weight * off, axis=1)))
-    spec = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    d_spec = float(np.min(np.abs(spec - complex(z))))
+    spec, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    shifted = spec - complex(z)
+    d_spec = float(np.min(np.abs(shifted)))
     denom = d_spec - 2.0 * np.exp(lam * c_rho * LOG2 ** rho) * s_lam
     if denom <= 0.0:
         raise DenominatorNonpositive(
             f"spectral gap {d_spec:.3e} does not dominate the weighted "
             f"row sum term {d_spec - denom:.3e}")
-    g = green_solve(h - complex(z) * np.eye(h.shape[0])).matrix
+    g = (vecs / shifted[None, :]) @ vecs.conj().T
     with np.errstate(divide="ignore"):
         log_excess = (np.log(np.abs(g))
                       + lam * np.log1p(dist) ** rho + np.log(denom))

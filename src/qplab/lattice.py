@@ -9,9 +9,10 @@ A site set has one representation: the canonical ``(n, d)`` int64 array
 returned by ``canonical_sites``, rows deduplicated and in lexicographic
 order.  Every set operation lives here and works on that form; membership
 encodes rows as linear indices on the joint bounding box and calls
-``np.isin``.  ``site_tuples`` only converts sites to hashable keys.  The
-helpers are unit-agnostic: they work equally on plain sites and on doubled
-half-lattice coordinates, as long as both arguments use the same convention.
+``np.isin``; ``site_index`` locates rows by the same keys.  ``site_tuples``
+only converts sites to hashable keys.  The helpers are unit-agnostic: they
+work equally on plain sites and on doubled half-lattice coordinates, as long
+as both arguments use the same convention.
 
 One fixpoint, ``_absorb``, adjoins tiles to a set, with two triggers:
 block construction in ``qplab.msa`` absorbs a lower-scale enlarged block
@@ -34,6 +35,7 @@ from scipy.integrate import quad
 from .errors import (
     NonConvergence,
     PreconditionViolated,
+    QplabError,
     SizeOverflow,
     TailNotSmall,
 )
@@ -169,6 +171,27 @@ def canonical_sites(sites) -> np.ndarray:
         return arr
     (keys,), lo, shape = _linear_keys(arr)
     return np.stack(np.unravel_index(np.unique(keys), shape), axis=1) + lo
+
+
+def site_index(sites, rows) -> np.ndarray:
+    """Positions in ``sites`` of each row of ``rows``.
+
+    Raises KeyError naming the first row that ``sites`` does not hold.
+    """
+    sites, rows = as_sites(sites), as_sites(rows)
+    if rows.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    if sites.shape[0] == 0:
+        raise KeyError(f"site {tuple(rows[0].tolist())} is not in the set")
+    (keys, want), _, _ = _linear_keys(sites, rows)
+    order = np.argsort(keys, kind="stable")
+    pos = order[np.minimum(np.searchsorted(keys, want, sorter=order),
+                           keys.size - 1)]
+    miss = keys[pos] != want
+    if miss.any():
+        row = rows[int(np.argmax(miss))]
+        raise KeyError(f"site {tuple(row.tolist())} is not in the set")
+    return pos
 
 
 def site_tuples(sites) -> set:
@@ -415,8 +438,8 @@ def extract_lower_bound(x: float, y: float, rho: float) -> float:
     log1px = math.log1p(x)
     bound = (1.0 - 2.0 * rho * y / ((1.0 + x) * log1px)) * log1px ** rho
     actual = math.log1p(x - y) ** rho
-    assert bound <= actual * (1 + 1e-12) + 1e-12, (
-        f"extract bound {bound} exceeded actual {actual}")
+    if not bound <= actual * (1 + 1e-12) + 1e-12:
+        raise QplabError(f"extract bound {bound} exceeded actual {actual}")
     return bound
 
 

@@ -45,6 +45,7 @@ from .lattice import (
     set_contains,
     set_diameter,
     set_union,
+    site_index,
     sup_dist_sets,
     symmetric_about_origin,
 )
@@ -705,11 +706,8 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     key = family.center_keys()[0]
     c2 = np.asarray(key, dtype=np.int64)
     frame = (2 * family.enlarged[key] - c2) / 2.0
-    core_frame = (2 * family.cores[key] - c2) / 2.0
     core_mask = np.zeros(frame.shape[0], dtype=bool)
-    frame_keys = {tuple(row.tolist()): i for i, row in enumerate(frame)}
-    for row in core_frame:
-        core_mask[frame_keys[tuple(row.tolist())]] = True
+    core_mask[site_index(family.enlarged[key], family.cores[key])] = True
     ev = _SchurDet(model, frame, core_mask, energy)
 
     omega = model.frequency.array()

@@ -28,7 +28,7 @@ from qplab.errors import (
     NotHermitian,
     Singular,
 )
-from qplab.greens import adjugate, op_norm_power, two_norm
+from qplab.greens import adjugate, two_norm
 from qplab.model import assemble_restriction, box_around
 from qplab.lattice import pairwise_sup_dist
 
@@ -46,8 +46,19 @@ def test_norms_match_numpy():
     rng = np.random.default_rng(0)
     a = _random_complex(rng, 12, 7)
     assert two_norm(a) == pytest.approx(np.linalg.norm(a, 2))
-    assert op_norm_power(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-6)
     assert two_norm(np.empty((0, 3))) == 0.0
+
+
+def test_green_solve_norm_is_exact(weak_model):
+    # a draw on which 50 power-iteration steps came out 0.51% below the
+    # exact norm (39.7064 vs 39.9098)
+    rest = assemble_restriction(weak_model, box_around(np.zeros(1), 64),
+                                complex(0.9827639451941653),
+                                -0.12829115252735046)
+    g = green_solve(rest.matrix)
+    exact = np.linalg.norm(np.linalg.inv(rest.matrix), 2)
+    assert g.op_norm == pytest.approx(exact, rel=1e-10)
+    assert exact == pytest.approx(39.9098, rel=1e-5)
 
 
 def test_green_solve_inverts():

@@ -1,6 +1,7 @@
 """Lattice boxes, site-set arithmetic, kernel sums, and regular deformation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qplab.lattice import (
     set_diameter,
     set_union,
     sets_intersect,
+    site_index,
     site_tuples,
     sup_dist_sets,
     symmetric_about_origin,
@@ -162,6 +164,12 @@ def test_set_layer_matches_tuple_oracle(data):
     mirrored = {tuple(-c for c in p) for p in ta}
     assert symmetric_about_origin(a) == (mirrored == ta)
     assert symmetric_about_origin(np.concatenate([a, -a]))
+    inside = b[[tuple(r) in ta for r in b.tolist()]]
+    assert a[site_index(a, inside)].tolist() == inside.tolist()
+    missing = [tuple(r) for r in b.tolist() if tuple(r) not in ta]
+    if missing:
+        with pytest.raises(KeyError, match=re.escape(str(missing[0]))):
+            site_index(a, b)
 
     n = data.draw(st.integers(0, 4))
     tiles = [data.draw(_site_sets(dim)) for _ in range(n)]
