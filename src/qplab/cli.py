@@ -33,7 +33,8 @@ Config layout, JSON with flat sections::
         "times":  {"start": 125.0, "stop": 1000.0, "count": 7, "log": true},
         "p": 2.0,
         "s_target": 1,           # msa only
-        "averaged": false,       # dynamics only
+        "averaged": false,       # dynamics only: true checks Abel time
+                                 #   averages instead of moments at t
         "instances": 200         # verify-lemmas only
       },
       "output": {"record_timings": false}
@@ -71,6 +72,7 @@ from .dynamics import (
     evolve_amplitudes,
     localization_profile,
     moment_p,
+    time_avg_moment,
 )
 from .errors import ConfigInvalid, IoFailure, QplabError
 from .greens import (
@@ -381,18 +383,25 @@ class EigCache:
         self.hits = 0
         self.disk_dir = _cache_dir()
 
-    def _disk_load(self, key: str) -> EvolutionData | None:
+    def _disk_load(self, key: str, box) -> EvolutionData | None:
+        """A stored entry for ``box``, or None when absent or unusable."""
         path = os.path.join(self.disk_dir, key + ".npz")
         if not os.path.exists(path):
             return None
         try:
             with np.load(path) as data:
-                return EvolutionData(data["sites"], data["eigvals"],
-                                     data["eigvecs"],
-                                     int(data["origin_idx"]),
-                                     data["weights0"], data["dists"])
+                ev = EvolutionData(data["sites"], data["eigvals"],
+                                   data["eigvecs"], int(data["origin_idx"]),
+                                   data["weights0"], data["dists"])
         except Exception:
             return None
+        n = box.sites.shape[0]
+        fits = (np.array_equal(ev.sites, box.sites)
+                and ev.eigvecs.shape == (n, n)
+                and all(a.shape == (n,)
+                        for a in (ev.eigvals, ev.weights0, ev.dists))
+                and 0 <= ev.origin_idx < n)
+        return ev if fits else None
 
     def _disk_store(self, key: str, ev: EvolutionData) -> None:
         try:
@@ -411,7 +420,7 @@ class EigCache:
         if key in self.memo:
             self.hits += 1
             return self.memo[key]
-        ev = self._disk_load(key)
+        ev = self._disk_load(key, box)
         if ev is None:
             ev = evolve_amplitudes(model, box, theta)
             self._disk_store(key, ev)
@@ -556,7 +565,9 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
     model = cfg.model
     schedule = ctx["schedule"]
     cache: EigCache = ctx["cache"]
-    p = float(cfg.sweep.get("p", 2.0))
+    p = float(_scalar(cfg.sweep, "sweep.p", (int, float), 2.0))
+    averaged = _scalar(cfg.sweep, "sweep.averaged", bool, False)
+    moment = time_avg_moment if averaged else moment_p
     times = _grid(cfg, "times", substream=2)
     if not times:
         raise ConfigInvalid("times grid must not be empty",
@@ -570,9 +581,7 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
     table = Table(("t", "moment", "bound", "boundary_mass", "gated", "pass"))
     n_fail = 0
     for t in times:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mv = moment_p(ev, float(t), p)
+        mv = moment(ev, float(t), p)
         bound = 2.0 ** p * math.exp(
             p * math.log(t) ** (2.0 / (1.0 + rho_prime))) if t > 1 else \
             float("inf")

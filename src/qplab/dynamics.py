@@ -4,8 +4,7 @@ Everything runs through one eigendecomposition of the (Hermitian) window
 restriction.  Wave-packet amplitudes, transport moments, Abel-type time
 averages and the energy integral of ``|G(E + i/t)(n, 0)|^2`` are exact
 spectral sums; the last is a closed form by partial fractions, so no
-resolvent is solved and there is no quadrature budget.  Gauss-Laguerre
-quadrature enters only as a cross-check of the time average.
+resolvent is solved and nothing is integrated numerically.
 The moment-to-Green bounds and the long-time moment ceiling mirror the
 estimates the localization machinery exports, with every constant spelled
 out so the checks are reproducible inequalities rather than fits.
@@ -14,7 +13,6 @@ out so the checks are reproducible inequalities rather than fits.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,7 +23,6 @@ from .errors import (
     BracketViolated,
     NotHermitian,
     PreconditionViolated,
-    QuadratureDisagreement,
     SpectrumEscapes,
 )
 from .greens import DecayFit, decay_scan
@@ -98,84 +95,56 @@ class MomentValue:
     boundary_mass: float
 
 
-def moment_p(ev: EvolutionData, t: float, p: float, *,
-             boundary_tol: float = 1e-6) -> MomentValue:
+def moment_p(ev: EvolutionData, t: float, p: float) -> MomentValue:
     """p-th transport moment ``sum (1+||n||)^p |a_n(t)|^2``.
 
-    Warns when the outermost site layer already carries mass above
-    ``boundary_tol``; past that point the window, not the operator, caps the
-    moment.
+    ``boundary_mass`` is the mass on the outermost site layer; once it is
+    not small the window, not the operator, caps the moment.
     """
     amp2 = np.abs(amplitudes(ev, t)) ** 2
     total = float(np.sum(amp2))
     edge = float(np.sum(amp2[ev.dists >= ev.dists.max()]))
-    if edge > boundary_tol:
-        warnings.warn(
-            f"boundary layer holds mass {edge:.2e} at t = {t:g}; the window "
-            "truncates the true moment", stacklevel=2)
     value = float(np.sum((1.0 + ev.dists) ** p * amp2))
     return MomentValue(value, float(p), float(t), abs(total - 1.0), edge)
+
+
+def _abel_probabilities(ev: EvolutionData, horizon: float) -> np.ndarray:
+    """Per-site Abel average ``(2/T) int exp(-2t/T) |a_n(t)|^2 dt``.
+
+    Exact: each oscillating pair ``exp(-i (w_j - w_k) t)`` averages to
+    ``1/(1 + i (w_j - w_k) T/2)``, so with ``b = V diag(weights0)`` the
+    average is ``Re sum_jk b_nj K_jk conj(b_nk)``, one matrix product.
+    """
+    big_t = float(horizon)
+    if big_t <= 0:
+        raise ValueError("averaging horizon must be positive")
+    b = ev.eigvecs * ev.weights0[None, :]
+    kern = 1.0 / (1.0 + 0.5j * (ev.eigvals[:, None] - ev.eigvals[None, :])
+                  * big_t)
+    return np.real(np.sum(b * (b.conj() @ kern.T), axis=1))
 
 
 @dataclass(frozen=True)
 class TimeAvgMoment:
     value: float
-    quad_value: float
     p: float
     horizon: float
-    nodes_used: int
-    agreement: float
+    boundary_mass: float
+    # the average is an exact spectral sum: no quadrature nodes
+    nodes_used: ClassVar[int] = 0
 
 
-def time_avg_moment(ev: EvolutionData, horizon: float, p: float, *,
-                    nodes: int = 64, node_cap: int = 4096,
-                    rtol: float = 1e-6) -> TimeAvgMoment:
+def time_avg_moment(ev: EvolutionData, horizon: float,
+                    p: float) -> TimeAvgMoment:
     """Abel-averaged moment ``(2/T) int exp(-2t/T) moment_p(t) dt``.
 
-    The reference value is the exact spectral double sum (the average of
-    each oscillating pair is ``1/(1 + i(w_j - w_k) T/2)``).  A
-    Gauss-Laguerre quadrature of the same integral must reproduce it; nodes
-    double until agreement or the cap, since beat periods shorter than the
-    node spacing otherwise alias badly.
+    The moment weights applied to :func:`_abel_probabilities`;
+    ``boundary_mass`` is the averaged mass on the outermost site layer.
     """
-    big_t = float(horizon)
-    if big_t <= 0:
-        raise ValueError("averaging horizon must be positive")
-    wgt = (1.0 + ev.dists) ** p
-    b = ev.eigvecs * ev.weights0[None, :]
-    c = (b.conj().T * wgt[None, :]) @ b
-    gaps = ev.eigvals[:, None] - ev.eigvals[None, :]
-    kern = 1.0 / (1.0 + 0.5j * gaps * big_t)
-    exact = float(np.real(np.sum(kern * c.T)))
-
-    n_q = int(nodes)
-    quad = math.nan
-    agree = math.inf
-    while True:
-        with np.errstate(all="ignore"):
-            x, w = np.polynomial.laguerre.laggauss(n_q)
-        if not np.all(np.isfinite(w)):
-            raise QuadratureDisagreement(
-                f"Gauss-Laguerre weights are not finite at {n_q} nodes")
-        ts = big_t * x / 2.0
-        vals = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            amp2 = np.abs(amplitudes(ev, float(t))) ** 2
-            vals[i] = float(np.sum(wgt * amp2))
-        quad = float(np.sum(w * vals))
-        agree = abs(quad - exact) / max(1.0, abs(exact))
-        if agree <= rtol or 2 * n_q > node_cap or math.isnan(agree):
-            break
-        n_q *= 2
-    if not agree <= rtol:
-        raise QuadratureDisagreement(
-            f"quadrature stalled at {n_q} nodes with relative spread "
-            f"{agree:.2e}; spectral phases beat faster than the grid")
-    span = big_t * float(np.max(x)) / 2.0
-    if span < 10.0 * big_t:
-        raise QuadratureDisagreement(
-            "quadrature horizon does not dominate the averaging time")
-    return TimeAvgMoment(exact, quad, float(p), big_t, n_q, agree)
+    prob = _abel_probabilities(ev, horizon)
+    edge = float(np.sum(prob[ev.dists >= ev.dists.max()]))
+    value = float(np.sum((1.0 + ev.dists) ** p * prob))
+    return TimeAvgMoment(value, float(p), float(horizon), edge)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +210,7 @@ def green_moment_bound(model: ModelSpec, ev: EvolutionData, t: float,
         tail_pref = (2.0 * math.e ** 2 / (pot.beta ** 2 * math.pi ** 2)) \
             * (pot.b - pot.a + 6.0 * pot.beta + 2.0 / t) ** 2
     elif mode == "avg":
-        gaps = ev.eigvals[:, None] - ev.eigvals[None, :]
-        kern = 1.0 / (1.0 + 0.5j * gaps * t)
-        lhs = np.real(np.einsum("nj,jk,nk->n", rows, kern, rows.conj()))
+        lhs = _abel_probabilities(ev, t)[idx]
         pref = 1.0 / (t * math.pi)
         tail_pref = 4.0 / (pot.beta * t * math.pi)
     else:
@@ -400,7 +367,8 @@ def moment_ceiling_check(ev: EvolutionData, p: float, rho_prime: float,
 
     ``T_0 = max(beta^-1, delta_0^-3)``.  Works for both instantaneous and
     Abel-averaged moments; the supplied times must all sit at or beyond
-    ``T_0``.
+    ``T_0``.  ``boundary_mass_max`` is the largest outer-layer mass, of the
+    same (instantaneous or averaged) distribution, over the times.
     """
     t0 = max(1.0 / beta, delta0 ** -3.0)
     times = np.asarray(times, dtype=float)
@@ -409,13 +377,11 @@ def moment_ceiling_check(ev: EvolutionData, p: float, rho_prime: float,
             f"all probe times must be >= T_0 = {t0:g}")
     vals = np.empty_like(times)
     edge = 0.0
+    moment = time_avg_moment if averaged else moment_p
     for i, t in enumerate(times):
-        if averaged:
-            vals[i] = time_avg_moment(ev, float(t), p).value
-        else:
-            mv = moment_p(ev, float(t), p)
-            vals[i] = mv.value
-            edge = max(edge, mv.boundary_mass)
+        mv = moment(ev, float(t), p)
+        vals[i] = mv.value
+        edge = max(edge, mv.boundary_mass)
     bounds = 2.0 ** p * np.exp(p * np.log(times) ** (2.0 / (1.0 + rho_prime)))
     return MomentCeilingReport(float(p), t0, times, vals, bounds,
                                bool(averaged), edge)

@@ -128,10 +128,6 @@ class WindowTooSmall(QplabError):
 # dynamics
 
 
-class QuadratureDisagreement(QplabError):
-    """Independent evaluation paths of a time average failed to agree."""
-
-
 class SpectrumEscapes(QplabError):
     """Finite-volume spectrum left the declared energy margins."""
 

@@ -224,6 +224,29 @@ def test_eig_cache_memo_and_disk_layers(weak_model, tmp_path):
     np.testing.assert_allclose(recovered.eigvals, ev1.eigvals)
 
 
+def _bundle_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def test_eig_cache_replaces_entry_that_does_not_fit_the_box(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw(
+        "dynamics", {"radius": 8, "theta": [0.1], "times": [200.0]})))
+    args = ["dynamics", "--config", str(cfg_path), "--out"]
+    assert main(args + [str(tmp_path / "clean")]) == 0
+    (entry,) = (tmp_path / "eig-cache").glob("*.npz")
+    with np.load(entry) as data:
+        arrays = dict(data)
+    arrays["eigvecs"] = arrays["eigvecs"][:, :5]
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert main(args + [str(tmp_path / "reloaded")]) == 0
+    assert (_bundle_bytes(tmp_path / "reloaded")
+            == _bundle_bytes(tmp_path / "clean"))
+    with np.load(entry) as data:
+        assert data["eigvecs"].shape == (17, 17)
+
+
 # ---------------------------------------------------------------------------
 # sweep execution
 
@@ -293,6 +316,22 @@ def test_dynamics_sweep_shares_eigendecompositions():
     raw_no_times = make_raw("dynamics", {"radius": 16, "theta": [0.1]})
     with pytest.raises(ConfigInvalid, match="missing required grid"):
         run(parse_config(raw_no_times), fail_fast=True)
+
+
+def test_dynamics_sweep_averaged_moments():
+    sweep = {"radius": 8, "theta": [0.1], "times": [200.0]}
+    moments = {}
+    for averaged in (False, True):
+        bundle = run(parse_config(make_raw("dynamics",
+                                           dict(sweep, averaged=averaged))))
+        assert [e["status"] for e in bundle.summary] == ["pass"]
+        (row,) = bundle.artifacts["dynamics_000"].rows
+        moments[averaged] = row[1]
+    assert moments[True] != pytest.approx(moments[False], rel=1e-6)
+    with pytest.raises(ConfigInvalid) as exc:
+        run(parse_config(make_raw("dynamics", dict(sweep, averaged=1))),
+            fail_fast=True)
+    assert exc.value.field == "sweep.averaged"
 
 
 def test_localize_and_verify_kinds_smoke():
@@ -420,6 +459,15 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
     assert main(["green", "--config", str(ok), "--jobs", "0",
                  "--out", str(tmp_path / "out")]) == 2
     assert "error" in capsys.readouterr().err
+
+    bad_p = tmp_path / "bad-p.json"
+    bad_p.write_text(json.dumps(make_raw(
+        "dynamics", {"radius": 8, "theta": [0.1], "times": [200.0],
+                     "p": "abc"})))
+    assert main(["dynamics", "--config", str(bad_p),
+                 "--out", str(tmp_path / "out-p")]) == 2
+    summary = json.loads((tmp_path / "out-p" / "summary.json").read_text())
+    assert "ConfigInvalid: sweep.p" in summary[0]["detail"]
 
 
 def test_main_propagates_violation_exit(tmp_path, capsys):
