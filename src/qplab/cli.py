@@ -341,6 +341,12 @@ def build_points(cfg: ExperimentConfig) -> list:
 # cache
 
 
+# Version of the cached eigendecomposition: bump it whenever assembly, the
+# eigendecomposition or the stored arrays change, so that entries written
+# by older code get new keys instead of being reused.
+CACHE_SCHEMA = 2
+
+
 def cache_key(model: ModelSpec, box, theta) -> str:
     """Content hash of an assembly; floats enter as exact hex, no rounding."""
     th = complex(theta.theta) if hasattr(theta, "theta") else complex(theta)
@@ -349,6 +355,7 @@ def cache_key(model: ModelSpec, box, theta) -> str:
         return float(v).hex()
 
     payload = {
+        "schema": CACHE_SCHEMA,
         "pot": model.potential.kind,
         "strip": fx(model.potential.strip),
         "alpha": fx(model.hopping.alpha),
@@ -396,7 +403,10 @@ class EigCache:
         except Exception:
             return None
         n = box.sites.shape[0]
-        fits = (np.array_equal(ev.sites, box.sites)
+        fits = (ev.sites.dtype == box.sites.dtype
+                and np.array_equal(ev.sites, box.sites)
+                and ev.eigvals.dtype == ev.dists.dtype == np.float64
+                and ev.eigvecs.dtype == ev.weights0.dtype == np.complex128
                 and ev.eigvecs.shape == (n, n)
                 and all(a.shape == (n,)
                         for a in (ev.eigvals, ev.weights0, ev.dists))
@@ -755,7 +765,12 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     if cfg.kind in ("dynamics", "localize"):
         box = box_around(np.zeros(cfg.model.dim), _radius(cfg, 64))
         for theta in sorted({pt["theta"] for pt in points}):
-            ctx["cache"].get(cfg.model, box, theta)
+            try:
+                ctx["cache"].get(cfg.model, box, theta)
+            except QplabError:
+                # the point meets the same error again and reports it
+                if fail_fast:
+                    raise
         ctx["cache"].hits = 0
 
     handler = _HANDLERS[cfg.kind]

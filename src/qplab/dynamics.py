@@ -108,17 +108,20 @@ def moment_p(ev: EvolutionData, t: float, p: float) -> MomentValue:
     return MomentValue(value, float(p), float(t), abs(total - 1.0), edge)
 
 
-def _abel_probabilities(ev: EvolutionData, horizon: float) -> np.ndarray:
-    """Per-site Abel average ``(2/T) int exp(-2t/T) |a_n(t)|^2 dt``.
+def _abel_probabilities(ev: EvolutionData, horizon: float,
+                        idx=slice(None)) -> np.ndarray:
+    """Abel average ``(2/T) int exp(-2t/T) |a_n(t)|^2 dt`` at the sites
+    ``idx`` (all sites by default).
 
     Exact: each oscillating pair ``exp(-i (w_j - w_k) t)`` averages to
     ``1/(1 + i (w_j - w_k) T/2)``, so with ``b = V diag(weights0)`` the
-    average is ``Re sum_jk b_nj K_jk conj(b_nk)``, one matrix product.
+    average is ``Re sum_jk b_nj K_jk conj(b_nk)``, one matrix product over
+    the requested rows of ``b``.
     """
     big_t = float(horizon)
     if big_t <= 0:
         raise ValueError("averaging horizon must be positive")
-    b = ev.eigvecs * ev.weights0[None, :]
+    b = ev.eigvecs[idx] * ev.weights0[None, :]
     kern = 1.0 / (1.0 + 0.5j * (ev.eigvals[:, None] - ev.eigvals[None, :])
                   * big_t)
     return np.real(np.sum(b * (b.conj() @ kern.T), axis=1))
@@ -210,7 +213,7 @@ def green_moment_bound(model: ModelSpec, ev: EvolutionData, t: float,
         tail_pref = (2.0 * math.e ** 2 / (pot.beta ** 2 * math.pi ** 2)) \
             * (pot.b - pot.a + 6.0 * pot.beta + 2.0 / t) ** 2
     elif mode == "avg":
-        lhs = _abel_probabilities(ev, t)[idx]
+        lhs = _abel_probabilities(ev, t, idx)
         pref = 1.0 / (t * math.pi)
         tail_pref = 4.0 / (pot.beta * t * math.pi)
     else:

@@ -110,6 +110,15 @@ def eval_potential(spec: PotentialSpec, z):
     return out
 
 
+def eval_potential_derivative(spec: PotentialSpec, z):
+    """v'(z): exact for the cosine, a central difference of v otherwise."""
+    if spec.kind == "cosine":
+        return -TWO_PI * np.sin(TWO_PI * np.asarray(z))
+    h = 1e-7
+    return (eval_potential(spec, z + h)
+            - eval_potential(spec, z - h)) / (2 * h)
+
+
 def solve_phase_for_energy(spec: PotentialSpec, energy) -> complex:
     """A root theta0 of ``v(theta0) = E``, canonicalized to Re in [0, 1/2].
 
@@ -124,10 +133,8 @@ def solve_phase_for_energy(spec: PotentialSpec, energy) -> complex:
         vals = np.asarray(eval_potential(spec, grid), dtype=complex)
         theta = complex(grid[int(np.argmin(np.abs(vals - energy)))])
         for _ in range(60):
-            h = 1e-7
             f = eval_potential(spec, theta) - energy
-            df = (eval_potential(spec, theta + h)
-                  - eval_potential(spec, theta - h)) / (2 * h)
+            df = eval_potential_derivative(spec, theta)
             if abs(df) < 1e-14:
                 break
             step = f / df
@@ -453,15 +460,23 @@ def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray) -> np.ndarray:
     return table.reshape(-1)[idx]
 
 
+# largest site count that any dense matrix is assembled for
+DENSE_CAP = 4096
+
+
 def assemble_t_matrix(potential: PotentialSpec, kernel: HoppingKernel,
                       omega: np.ndarray, eps: float, sites, z,
                       energy=0.0) -> np.ndarray:
     """Dense ``T = diag(v(z + n.omega) - E) + eps W`` over arbitrary sites.
 
     Sites may live on a translated half-lattice (the multi-scale tracking
-    frame); only their pairwise differences must be integers.
+    frame); only their pairwise differences must be integers.  More than
+    ``DENSE_CAP`` sites raise ``BoxTooLarge`` before anything is allocated.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
+    if sites.shape[0] > DENSE_CAP:
+        raise BoxTooLarge(
+            f"{sites.shape[0]} sites exceed the dense cap of {DENSE_CAP}")
     phases = z + sites @ np.asarray(omega, dtype=float)
     diag = np.asarray(eval_potential(potential, phases), dtype=complex)
     mat = eps * toeplitz_block(kernel, sites)
@@ -491,12 +506,8 @@ class OperatorRestriction:
 
 
 def assemble_restriction(model: ModelSpec, box: LatticeBox, theta,
-                         energy=0.0, *, dense_cap: int = 4096
-                         ) -> OperatorRestriction:
+                         energy=0.0) -> OperatorRestriction:
     """Assemble the dense restriction of ``H(theta) - E`` to a box."""
-    if box.n_sites > dense_cap:
-        raise BoxTooLarge(
-            f"box has {box.n_sites} sites, dense cap is {dense_cap}")
     theta_c = theta.theta if isinstance(theta, PhasePoint) else complex(theta)
     PhasePoint(theta_c).validate(model.potential)
     e_c = energy.energy if isinstance(energy, EnergyPoint) else complex(energy)

@@ -17,6 +17,7 @@ remains available for schedule arithmetic itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from .model import (
     ModelSpec,
     assemble_t_matrix,
     eval_potential,
+    eval_potential_derivative,
     solve_phase_for_energy,
     toeplitz_block,
 )
@@ -651,36 +653,74 @@ def canonical_root(z: complex) -> complex:
 
 
 class _SchurDet:
-    """Evaluator of det S(z) on a fixed translated frame, reusing the
-    z-independent hopping part."""
+    """Evaluator of det S(z) for the Schur complement S onto the core of a
+    fixed translated frame.
+
+    The z-independent blocks of ``eps W`` are sliced once.  Each evaluation
+    adds the potential diagonal and makes one ``lu_factor`` call, on the
+    rest-rest block; from that one LU it also gives the log-derivative
+    f'/f = tr(S^-1 S') by Jacobi's formula, with S' = D'_c + Y D'_r X,
+    X = A_rr^-1 A_rc and Y = A_cr A_rr^-1.
+    """
 
     def __init__(self, model: ModelSpec, frame_sites: np.ndarray,
                  core_mask: np.ndarray, energy: complex):
         self.pot = model.potential
         self.energy = complex(energy)
-        self.slope = frame_sites @ model.frequency.array()
-        self.w = model.eps * toeplitz_block(model.hopping, frame_sites)
-        self.core = np.flatnonzero(core_mask)
-        self.rest = np.flatnonzero(~core_mask)
+        core = np.flatnonzero(core_mask)
+        rest = np.flatnonzero(~core_mask)
+        self.n_rest = rest.size
+        # phase slopes ordered rest first, then core
+        self.slope = frame_sites[np.concatenate([rest, core])] \
+            @ model.frequency.array()
+        w = model.eps * toeplitz_block(model.hopping, frame_sites)
+        self.w_rr = np.asfortranarray(w[np.ix_(rest, rest)], dtype=complex)
+        self.w_rc = w[np.ix_(rest, core)].astype(complex)
+        self.w_cr = w[np.ix_(core, rest)].astype(complex)
+        self.w_cc = w[np.ix_(core, core)].astype(complex)
+        self.rr_diag = np.diag_indices(rest.size)
 
-    def matrix(self, z: complex) -> np.ndarray:
-        m = self.w.astype(complex).copy()
-        diag = np.asarray(eval_potential(self.pot, complex(z) + self.slope),
-                          dtype=complex) - self.energy
-        np.fill_diagonal(m, m.diagonal() + diag)
-        return m
+    @property
+    def rest_slope(self) -> np.ndarray:
+        return self.slope[:self.n_rest]
+
+    def _factor(self, z: complex):
+        phases = complex(z) + self.slope
+        d = (np.asarray(eval_potential(self.pot, phases), dtype=complex)
+             - self.energy)
+        nr = self.n_rest
+        a = self.w_rr.copy(order="F")
+        a[self.rr_diag] += d[:nr]
+        lu = lu_factor(a, overwrite_a=True, check_finite=False)
+        x = lu_solve(lu, self.w_rc, check_finite=False)
+        s = self.w_cc + np.diag(d[nr:]) - self.w_cr @ x
+        return s, lu, x, phases
 
     def schur(self, z: complex) -> np.ndarray:
-        m = self.matrix(z)
-        a = m[np.ix_(self.rest, self.rest)]
-        lu, piv = lu_factor(a, check_finite=False)
-        x = lu_solve((lu, piv), m[np.ix_(self.rest, self.core)],
-                     check_finite=False)
-        return (m[np.ix_(self.core, self.core)]
-                - m[np.ix_(self.core, self.rest)] @ x)
+        return self._factor(z)[0]
 
     def det(self, z: complex) -> complex:
-        return complex(np.linalg.det(self.schur(z)))
+        return complex(np.linalg.det(self._factor(z)[0]))
+
+    def det_logderiv(self, z: complex) -> tuple:
+        """(det S(z), f'/f at z); f'/f is NaN where det S is exactly 0."""
+        s, lu, x, phases = self._factor(z)
+        f = complex(np.linalg.det(s))
+        if f == 0:
+            return f, complex(math.nan)
+        dv = eval_potential_derivative(self.pot, phases)
+        nr = self.n_rest
+        yt = lu_solve(lu, self.w_cr.T, trans=1, check_finite=False)
+        ds = np.diag(dv[nr:]) + yt.T @ (dv[:nr, None] * x)
+        return f, complex(np.trace(np.linalg.solve(s, ds)))
+
+
+# contour sampling: rings start at RING_SAMPLES points (multiplicity rings at
+# MULT_SAMPLES) and double until every step in arg f is at most pi/4
+RING_SAMPLES = 64
+MULT_SAMPLES = 16
+MAX_RING_SAMPLES = 4096
+MAX_ARG_STEP = math.pi / 4.0
 
 
 def _winding(vals: np.ndarray) -> int:
@@ -690,18 +730,78 @@ def _winding(vals: np.ndarray) -> int:
     return int(round(float(np.sum(inc)) / (2.0 * np.pi)))
 
 
+def _sample_ring(ev: _SchurDet, c: complex, r: float, n: int):
+    """Samples ``(z, f, f'/f)`` on the circle ``|z - c| = r``.
+
+    Starts from ``n`` uniform points and doubles (reusing the old points)
+    until every step in arg f is at most ``MAX_ARG_STEP``; raises
+    ``WindingMismatch`` past ``MAX_RING_SAMPLES``.  Returns None when |f|
+    dips below 1e-14 of its median, i.e. the circle runs through a zero.
+    """
+    def sample(k: np.ndarray, m: int):
+        z = c + r * np.exp(2j * np.pi * k / m)
+        fg = np.asarray([ev.det_logderiv(zz) for zz in z])
+        return z, fg[:, 0], fg[:, 1]
+
+    z, f, g = sample(np.arange(n), n)
+    while True:
+        if float(np.min(np.abs(f))) <= 1e-14 * float(np.median(np.abs(f))):
+            return None
+        steps = np.abs(np.angle(np.roll(f, -1) / f))
+        if float(np.max(steps)) <= MAX_ARG_STEP:
+            return z, f, g
+        if 2 * n > MAX_RING_SAMPLES:
+            raise WindingMismatch(
+                f"arg det S still steps by {float(np.max(steps)):.3f} "
+                f"on {n} samples of the circle |z - {c:.6g}| = {r:.3e}")
+        zm, fm, gm = sample(2 * np.arange(n) + 1, 2 * n)
+        z, f, g = (np.stack([a, b], axis=1).ravel()
+                   for a, b in ((z, zm), (f, fm), (g, gm)))
+        n *= 2
+
+
+def _count_zeros(z: np.ndarray, f: np.ndarray, g: np.ndarray,
+                 c: complex) -> tuple:
+    """Winding of f on a sampled circle around ``c``, cross-checked.
+
+    The integer winding of the samples and the trapezoid moment
+    ``s0 = mean((z - c) f'/f)`` are two independent zero counts; they must
+    agree.  Also returns ``s0`` and ``s1c = mean((z - c)^2 f'/f)``, the
+    first Delves-Lyness moment about ``c``.
+    """
+    w = _winding(f)
+    s0 = complex(np.mean((z - c) * g))
+    if not abs(s0 - w) < 0.25:
+        raise WindingMismatch(
+            f"contour around {c:.6g} winds {w} times but its "
+            f"log-derivative moment gives {s0:.4g}")
+    return w, s0, complex(np.mean((z - c) ** 2 * g))
+
+
 def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 case: CaseData, schedule: ScaleSchedule, s_next: int,
-                energy: complex, *, contour_samples: int = 720,
-                newton_budget: int = 60) -> ThetaStep:
+                energy: complex, *, newton_budget: int = 60) -> ThetaStep:
     """Locate the characteristic root ``theta_{s_next}`` by Newton + winding.
 
     Works on the translated frame of one representative enlarged block.  The
-    determinant of the Schur complement onto the core is analytic inside
-    windows that stay clear of the poles contributed by the eliminated
-    block, so an argument-principle count certifies that Newton found every
-    root.  Case 1 expects the root near ``theta_prev``; case 2 near
-    ``(l/2) . omega + theta_prev``.
+    determinant f = det S of the Schur complement onto the core is analytic
+    inside windows that stay clear of the poles contributed by the
+    eliminated block, so an argument-principle count certifies that Newton
+    found every root.  Case 1 expects the root near ``theta_prev``; case 2
+    near ``(l/2) . omega + theta_prev``.
+
+    Each candidate circle starts at ``RING_SAMPLES`` uniform samples and
+    doubles until every step in arg f is at most pi/4 (past
+    ``MAX_RING_SAMPLES`` it raises ``WindingMismatch``); if |f| dips on it,
+    the radius is bumped by 2% up to three times.  The integer winding is
+    cross-checked against the trapezoid moment ``s0 = (1/2 pi i) oint
+    f'/f``, with f'/f = tr(S^-1 S') from Jacobi's formula.  Newton steps
+    ``z <- z - 1 / (f'/f)`` (one determinant each) run from the centre
+    first, so that eps = 0 is exact, then from four points at 0.3 of the
+    radius and from the Delves-Lyness point s1/s0 (the mean of the enclosed
+    roots).  Each root's multiplicity is the winding on a small circle
+    around it (``MULT_SAMPLES`` samples, same doubling rule), and the
+    multiplicities must add up to the winding.
     """
     key = family.center_keys()[0]
     c2 = np.asarray(key, dtype=np.int64)
@@ -734,9 +834,8 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
             dedup.append(c)
     cands = dedup
 
-    pole_z = (np.concatenate([tp - ev.slope[~core_mask],
-                              -tp - ev.slope[~core_mask]])
-              if np.any(~core_mask) else np.asarray([], dtype=complex))
+    pole_z = (np.concatenate([tp - ev.rest_slope, -tp - ev.rest_slope])
+              if ev.n_rest else np.asarray([], dtype=complex))
     delta_prev = schedule.delta(s_next - 1)
     roots: list = []
     winding_total = 0
@@ -758,48 +857,39 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 f"root window around {c:.6g} collapsed to {r_win:.3e}")
         radius_used = max(radius_used, r_win)
 
-        vals = None
         for bump in range(4):
             r_try = r_win * (1.0 + 0.02 * bump)
-            ring = c + r_try * np.exp(2j * np.pi * np.arange(contour_samples)
-                                      / contour_samples)
-            vals = np.asarray([ev.det(z) for z in ring])
-            floor = 1e-14 * float(np.median(np.abs(vals)))
-            if float(np.min(np.abs(vals))) > floor:
+            ring = _sample_ring(ev, c, r_try, RING_SAMPLES)
+            if ring is not None:
                 r_win = r_try
                 break
         else:
             raise WindingMismatch(
                 "determinant vanishes on every tested contour; the window "
                 "straddles a root")
-        med = float(np.median(np.abs(vals)))
-        tol_det = 1e-12 * med
-        w = _winding(vals)
+        w, s0, s1c = _count_zeros(*ring, c)
+        tol_det = 1e-12 * float(np.median(np.abs(ring[1])))
         winding_total += w
 
+        starts = [c + frac * r_win for frac in (0.0, 0.3, 0.3j, -0.3, -0.3j)]
+        if w:
+            starts.append(c + s1c / s0)
         local: list = []
-        h = 1e-5 * r_win
-        for frac in (0.0, 0.3, 0.3j, -0.3, -0.3j):
-            z = c + frac * r_win
+        for z in starts:
+            f, g = ev.det_logderiv(z)
             for _ in range(newton_budget):
                 iters_used += 1
-                f = ev.det(z)
-                if abs(f) < tol_det:
+                if abs(f) < tol_det or not (cmath.isfinite(g) and g != 0):
                     break
-                df = (ev.det(z + h) - ev.det(z - h)) / (2.0 * h)
-                if abs(df) == 0.0:
-                    break
-                step = f / df
+                step = 1.0 / g
                 z = z - step
                 if abs(z - c) > 1.5 * r_win:
                     z = None
                     break
+                f, g = ev.det_logderiv(z)
                 if abs(step) < 1e-14 * max(1.0, abs(z)):
-                    f = ev.det(z)
                     break
-            if z is None or abs(z - c) >= r_win:
-                continue
-            if abs(ev.det(z)) > 10.0 * tol_det:
+            if z is None or abs(z - c) >= r_win or abs(f) > 10.0 * tol_det:
                 continue
             if all(abs(z - r) > 1e-9 for r in local):
                 local.append(z)
@@ -807,8 +897,12 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         mult = 0
         for r in local:
             tiny = max(1e-3 * r_win, 1e-10)
-            ringt = r + tiny * np.exp(2j * np.pi * np.arange(240) / 240)
-            mult += abs(_winding(np.asarray([ev.det(z) for z in ringt])))
+            ring_r = _sample_ring(ev, r, tiny, MULT_SAMPLES)
+            if ring_r is None:
+                raise WindingMismatch(
+                    f"determinant vanishes on the multiplicity circle "
+                    f"around {r:.6g}")
+            mult += abs(_count_zeros(*ring_r, r)[0])
         if mult != w:
             raise WindingMismatch(
                 f"contour around {c:.6g} winds {w} times but Newton found "

@@ -365,8 +365,7 @@ def test_criterion_04_theta_tracking(cosine_potential, saturating_kernel,
     for _ in range(100):
         e_draw = float(rng.uniform(-0.9, 0.9))
         t_root = solve_phase_for_energy(cosine_potential, e_draw)
-        step = track_theta(model, fam, t_root, case, sched, 1, e_draw,
-                           contour_samples=360)
+        step = track_theta(model, fam, t_root, case, sched, 1, e_draw)
         if step.winding_total != 2:
             bad_wind += 1
         if step.det_violations:

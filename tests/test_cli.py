@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qplab import cli
 from qplab.cli import (
     EigCache,
     _grid,
@@ -193,12 +194,14 @@ def test_empty_grid_is_an_empty_sweep():
 # cache
 
 
-def test_cache_key_stability_and_sensitivity(weak_model):
+def test_cache_key_stability_and_sensitivity(weak_model, monkeypatch):
     box = box_around(np.zeros(1), 8)
     key = cache_key(weak_model, box, 0.3)
     assert key == cache_key(weak_model, box, PhasePoint(0.3))
     assert key != cache_key(weak_model, box, 0.3 + 1e-12)
     assert key != cache_key(weak_model, box_around(np.zeros(1), 9), 0.3)
+    monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
+    assert key != cache_key(weak_model, box, 0.3)
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
 
 
@@ -235,16 +238,19 @@ def test_eig_cache_replaces_entry_that_does_not_fit_the_box(tmp_path):
     args = ["dynamics", "--config", str(cfg_path), "--out"]
     assert main(args + [str(tmp_path / "clean")]) == 0
     (entry,) = (tmp_path / "eig-cache").glob("*.npz")
-    with np.load(entry) as data:
-        arrays = dict(data)
-    arrays["eigvecs"] = arrays["eigvecs"][:, :5]
-    with open(entry, "wb") as fh:
-        np.savez(fh, **arrays)
-    assert main(args + [str(tmp_path / "reloaded")]) == 0
-    assert (_bundle_bytes(tmp_path / "reloaded")
-            == _bundle_bytes(tmp_path / "clean"))
-    with np.load(entry) as data:
-        assert data["eigvecs"].shape == (17, 17)
+    # too few columns, then the right shape stored in single precision
+    for spoil in (lambda v: v[:, :5], lambda v: v.real.astype(np.float32)):
+        with np.load(entry) as data:
+            arrays = dict(data)
+        arrays["eigvecs"] = spoil(arrays["eigvecs"])
+        with open(entry, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(args + [str(tmp_path / "reloaded")]) == 0
+        assert (_bundle_bytes(tmp_path / "reloaded")
+                == _bundle_bytes(tmp_path / "clean"))
+        with np.load(entry) as data:
+            assert data["eigvecs"].shape == (17, 17)
+            assert data["eigvecs"].dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +286,17 @@ def test_green_sweep_skips_resonant_phase():
 
 
 def test_error_rows_and_fail_fast():
-    raw = make_raw("assemble", {"radius": 3000, "theta": [0.1],
-                                "energy": [0.0]})
-    bundle = run(parse_config(raw))
-    assert [e["status"] for e in bundle.summary] == ["error"]
-    assert "BoxTooLarge" in bundle.summary[0]["detail"]
-    assert exit_code(bundle) == 2
-    with pytest.raises(BoxTooLarge):
-        run(parse_config(raw), fail_fast=True)
+    # a radius-30000 dynamics window would need about 58 GB as a dense matrix
+    for raw in (make_raw("assemble", {"radius": 3000, "theta": [0.1],
+                                      "energy": [0.0]}),
+                make_raw("dynamics", {"radius": 30000, "theta": [0.1],
+                                      "times": [1.0]})):
+        bundle = run(parse_config(raw))
+        assert [e["status"] for e in bundle.summary] == ["error"]
+        assert "BoxTooLarge" in bundle.summary[0]["detail"]
+        assert exit_code(bundle) == 2
+        with pytest.raises(BoxTooLarge):
+            run(parse_config(raw), fail_fast=True)
 
 
 def test_msa_sweep_guards_target_depth():

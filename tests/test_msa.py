@@ -1,5 +1,6 @@
 """Multi-scale ladder: schedules, resonances, blocks, root tracking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,10 +32,20 @@ from qplab.errors import (
     PreconditionViolated,
     ScheduleOverflow,
     SeparationViolated,
+    WindingMismatch,
     WindowTooSmall,
 )
-from qplab.msa import CaseData, ResonanceStructure, canonical_root
-from qplab.torus import torus_norm
+from qplab.lattice import site_index
+from qplab.model import eval_potential, toeplitz_block
+from qplab.msa import (
+    CaseData,
+    ResonanceStructure,
+    _count_zeros,
+    _sample_ring,
+    _SchurDet,
+    canonical_root,
+)
+from qplab.torus import log_torus_norm, torus_norm
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +401,213 @@ def test_track_theta_case2_merge():
     assert step.deviation < 1e-6
     assert step.deviation_ok
     assert step.winding_total == 4
+
+
+def _oracle_track(model, fam, theta_prev, case, sched, energy):
+    """``track_theta``'s search with fixed sampling, as a reference for a
+    step to scale 1.
+
+    A 720-sample circle per candidate, Newton with central differences of
+    det S from five starts, 240-sample multiplicity circles, then the same
+    root choice and 64-point lower-bound grid.  det S is built from the full
+    matrix ``eps W + diag(v(z + n . omega) - E)``.  Returns (canonical
+    roots, winding total, lower-bound violations).
+    """
+    key = fam.center_keys()[0]
+    frame = (2 * fam.enlarged[key] - np.asarray(key)) / 2.0
+    core = site_index(fam.enlarged[key], fam.cores[key])
+    rest = np.setdiff1d(np.arange(frame.shape[0]), core)
+    omega = model.frequency.array()
+    hop = model.eps * toeplitz_block(model.hopping, frame)
+
+    def det(z):
+        m = hop + np.diag(eval_potential(model.potential, z + frame @ omega)
+                        - energy)
+        x = np.linalg.solve(m[np.ix_(rest, rest)], m[np.ix_(rest, core)])
+        return complex(np.linalg.det(m[np.ix_(core, core)]
+                                     - m[np.ix_(core, rest)] @ x))
+
+    def circle(c, r, n):
+        return np.asarray([det(z) for z in
+                           c + r * np.exp(2j * np.pi * np.arange(n) / n)])
+
+    def winding(vals):
+        inc = np.angle(np.roll(vals, -1) / vals)
+        return int(round(float(np.sum(inc)) / (2.0 * np.pi)))
+
+    tp = complex(theta_prev)
+    if case.case == 1:
+        cands, expected = [tp, -tp], canonical_root(tp)
+    else:
+        shift = float(np.asarray(case.l, dtype=float) @ omega) / 2.0
+        cands = [shift + tp, shift - tp, -shift + tp, -shift - tp]
+        expected = canonical_root(shift + tp)
+    cands = [complex(c.real - math.floor(c.real + 0.5), c.imag)
+             for c in cands]
+    uniq = []
+    for c in cands:
+        if all(torus_norm(c - o) > 1e-9 for o in uniq):
+            uniq.append(c)
+    slope = frame[rest] @ omega
+    poles = np.concatenate([tp - slope, -tp - slope])
+    delta_prev = sched.delta(0)
+    roots, total, radius_used = [], 0, 0.0
+    for c in uniq:
+        gap = float(np.min(torus_norm(poles - c)))
+        sep = min((torus_norm(c - o) for o in uniq if o is not c),
+                  default=math.inf)
+        r_win = min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
+        radius_used = max(radius_used, r_win)
+        for bump in range(4):
+            vals = circle(c, r_win * (1.0 + 0.02 * bump), 720)
+            if np.min(np.abs(vals)) > 1e-14 * np.median(np.abs(vals)):
+                r_win *= 1.0 + 0.02 * bump
+                break
+        w = winding(vals)
+        total += w
+        tol = 1e-12 * float(np.median(np.abs(vals)))
+        local, h = [], 1e-5 * r_win
+        for frac in (0.0, 0.3, 0.3j, -0.3, -0.3j):
+            z = c + frac * r_win
+            for _ in range(60):
+                f = det(z)
+                if abs(f) < tol:
+                    break
+                step = f / ((det(z + h) - det(z - h)) / (2.0 * h))
+                z = z - step
+                if abs(z - c) > 1.5 * r_win:
+                    z = None
+                    break
+                if abs(step) < 1e-14 * max(1.0, abs(z)):
+                    break
+            if (z is not None and abs(z - c) < r_win
+                    and abs(det(z)) <= 10.0 * tol
+                    and all(abs(z - r) > 1e-9 for r in local)):
+                local.append(z)
+        mult = sum(abs(winding(circle(r, max(1e-3 * r_win, 1e-10), 240)))
+                   for r in local)
+        assert mult == w
+        roots.extend(local)
+    canon = []
+    for r in roots:
+        cr = canonical_root(r)
+        if all(torus_norm(cr - o) > 1e-8 for o in canon):
+            canon.append(cr)
+    theta = min(canon, key=lambda r: torus_norm(r - expected))
+    z_cap = min(radius_used, math.exp(max(sched.z_exp * sched.log_delta[1],
+                                          -700.0)))
+    bad = 0
+    for rr in np.geomspace(max(z_cap * 1e-3, 1e-12), z_cap * 0.99, 8):
+        for ang in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            z = theta + rr * np.exp(1j * ang)
+            d = det(z)
+            lhs = math.log(abs(d)) if d != 0 else -math.inf
+            rhs = (sched.log_delta[0] + log_torus_norm(z - theta)
+                   + log_torus_norm(z + theta))
+            bad += lhs < rhs - 1e-9
+    return canon, total, bad
+
+
+def _tracking_input(name):
+    """(model, family, theta_prev, case, schedule, energy) for a named
+    tracking problem."""
+    pot = PotentialSpec.cosine()
+    kern = HoppingKernel.saturating(1.0, 2.0)
+    freq = FrequencyVector.golden()
+    window = box_around(np.zeros(1), 64)
+    if name == "case2-merge":
+        sched = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.9,
+                               s_max=1, delta0=0.05, n0=4)
+        fam = construct_blocks(np.asarray([[1]]),
+                               {(1,): np.asarray([[0], [2]])},
+                               1, 2, (1,), sched, [], window)
+        return (ModelSpec(pot, kern, freq, 1e-4), fam,
+                solve_phase_for_energy(pot, 0.3),
+                CaseData(2, (1,), (2,), (0,), 1.0), sched, 0.3)
+    sched = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.9,
+                           s_max=1, delta0=1e-3, n0=8)
+    fam = construct_blocks(np.asarray([[0]]), {(0,): np.asarray([[0]])},
+                           1, 1, (0,), sched, [], window)
+    case = CaseData(1, None, None, None, math.inf)
+    if name == "user-cosine":
+        # a user potential equal to the cosine: v' by finite differences
+        pot = dataclasses.replace(pot, kind="user",
+                                  fn=lambda z: np.cos(2.0 * np.pi * z))
+        energy = 0.3
+    else:
+        # criterion 4's energy draws, by index
+        draw = int(name.removeprefix("crit4-draw"))
+        energy = float(np.random.default_rng(7).uniform(-0.9, 0.9, 100)[draw])
+    return (ModelSpec(pot, kern, freq, 1e-4), fam,
+            solve_phase_for_energy(pot, energy), case, sched, energy)
+
+
+# Draw 36 has a 2.2e-6 window.  A Newton run from the Delves-Lyness point
+# alone stops one ulp from the root with |det S| = 1.361e-16, just above
+# 10 tol_det = 1.354e-16, so the root is found only because the five fixed
+# starts stay.
+@pytest.mark.parametrize("name", ["crit4-draw0", "crit4-draw1",
+                                  "crit4-draw2", "crit4-draw36",
+                                  "case2-merge", "user-cosine"])
+def test_track_theta_matches_fixed_sample_oracle(name):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    roots, winding, bad = _oracle_track(model, fam, theta_prev, case, sched,
+                                        energy)
+    assert step.winding_total == winding
+    assert len(step.roots) == len(roots)
+    for got, want in zip(step.roots, roots):
+        assert abs(got - want) <= 1e-10
+    assert step.det_violations == bad
+    if name == "crit4-draw36":
+        assert step.window_radius == pytest.approx(2.2e-6, rel=0.01)
+
+
+@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge",
+                                  "user-cosine"])
+def test_schur_logderiv_matches_central_difference(name):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    key = fam.center_keys()[0]
+    frame = (2 * fam.enlarged[key] - np.asarray(key)) / 2.0
+    core = np.zeros(frame.shape[0], dtype=bool)
+    core[site_index(fam.enlarged[key], fam.cores[key])] = True
+    ev = _SchurDet(model, frame, core, energy)
+    for off in (0.004, 0.003j, -0.002 + 0.001j):
+        z = complex(theta_prev) + off
+        f, g = ev.det_logderiv(z)
+        h = 1e-6
+        fd = (ev.det(z + h) - ev.det(z - h)) / (2.0 * h) / f
+        assert f == ev.det(z)
+        assert abs(g - fd) <= 1e-6 * abs(fd)
+
+
+class _Linear:
+    """Stand-in evaluator for f(z) = z - a, with an optional wrong f'/f."""
+
+    def __init__(self, a, logderiv_ok=True):
+        self.a, self.ok = a, logderiv_ok
+
+    def det_logderiv(self, z):
+        f = complex(z - self.a)
+        if not self.ok:
+            return f, 0j
+        return f, (1.0 / f if f != 0 else complex(math.nan))
+
+
+def test_sample_ring_refines_and_cross_checks():
+    # a zero at distance 0.05 from the unit circle needs more than 16 samples
+    z, f, g = _sample_ring(_Linear(0.95), 0j, 1.0, 16)
+    assert z.size == 256
+    assert np.max(np.abs(np.angle(np.roll(f, -1) / f))) <= math.pi / 4.0
+    w, s0, s1c = _count_zeros(z, f, g, 0j)
+    # the trapezoid moments are off by 0.95**256, about 2e-6
+    assert w == 1 and abs(s0 - 1.0) < 1e-5 and abs(s1c - 0.95) < 1e-5
+    assert _sample_ring(_Linear(1.0), 0j, 1.0, 16) is None
+    with pytest.raises(WindingMismatch, match="still steps"):
+        _sample_ring(_Linear(1.0 + 1e-6j), 0j, 1.0, 16)
+    z, f, g = _sample_ring(_Linear(0.5, logderiv_ok=False), 0j, 1.0, 16)
+    with pytest.raises(WindingMismatch, match="moment"):
+        _count_zeros(z, f, g, 0j)
 
 
 # ---------------------------------------------------------------------------
