@@ -102,6 +102,11 @@ from .model import (
 from .msa import build_schedule, run_induction
 from .torus import torus_norm
 
+# what a failing point may raise and still end as an ``error`` row: package
+# errors, a LAPACK failure (numpy and scipy share LinAlgError) and an
+# allocation that does not fit in memory
+POINT_ERRORS = (QplabError, np.linalg.LinAlgError, MemoryError)
+
 KINDS = ("assemble", "green", "msa", "dynamics", "localize", "verify-lemmas")
 
 _MODEL_KEYS = {"potential", "strip", "beta", "alpha", "rho", "eps", "eps0",
@@ -344,7 +349,7 @@ def build_points(cfg: ExperimentConfig) -> list:
 # Version of the cached eigendecomposition: bump it whenever assembly, the
 # eigendecomposition or the stored arrays change, so that entries written
 # by older code get new keys instead of being reused.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def cache_key(model: ModelSpec, box, theta) -> str:
@@ -406,7 +411,8 @@ class EigCache:
         fits = (ev.sites.dtype == box.sites.dtype
                 and np.array_equal(ev.sites, box.sites)
                 and ev.eigvals.dtype == ev.dists.dtype == np.float64
-                and ev.eigvecs.dtype == ev.weights0.dtype == np.complex128
+                and ev.eigvecs.dtype == ev.weights0.dtype
+                and ev.eigvecs.dtype in (np.float64, np.complex128)
                 and ev.eigvecs.shape == (n, n)
                 and all(a.shape == (n,)
                         for a in (ev.eigvals, ev.weights0, ev.dists))
@@ -753,8 +759,8 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
 
     Grid points run under a thread pool but merge in sorted-parameter
     order, so the bundle contents never depend on scheduling.  A point
-    that raises a package error becomes an ``error`` row unless fail-fast
-    is set.
+    that raises one of ``POINT_ERRORS`` becomes an ``error`` row unless
+    fail-fast is set.
     """
     t_start = time.monotonic()
     points = build_points(cfg)
@@ -767,7 +773,7 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
         for theta in sorted({pt["theta"] for pt in points}):
             try:
                 ctx["cache"].get(cfg.model, box, theta)
-            except QplabError:
+            except POINT_ERRORS:
                 # the point meets the same error again and reports it
                 if fail_fast:
                     raise
@@ -785,7 +791,7 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
             for i in range(len(points)):
                 try:
                     results[i] = futures[i].result()
-                except QplabError as exc:
+                except POINT_ERRORS as exc:
                     if fail_fast:
                         raise
                     results[i] = PointResult(
@@ -794,7 +800,7 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
         for i in range(len(points)):
             try:
                 results[i] = work(i)
-            except QplabError as exc:
+            except POINT_ERRORS as exc:
                 if fail_fast:
                     raise
                 results[i] = PointResult(
@@ -993,7 +999,7 @@ def main(argv=None) -> int:
     except (ConfigInvalid, IoFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QplabError as exc:
+    except POINT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     counts = bundle.manifest["counts"]

@@ -56,8 +56,11 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
     Raises Singular when an LU pivot falls below ``pivot_rtol`` times the
     largest entry, or when the identity residual of the computed inverse
     exceeds the conditioning-aware tolerance.  ``op_norm`` is the exact
-    ``||T^{-1}|| = 1 / sigma_min(T)``; the singular values are taken before
-    the inverse exists, which keeps the peak memory at that of the LU.
+    ``||T^{-1}|| = 1 / sigma_min(T)``, taken before the inverse exists so
+    that the peak memory stays at that of the LU.  For a real, exactly
+    symmetric ``T`` the singular values are the moduli of the eigenvalues,
+    so ``eigvalsh`` replaces the SVD; ``eigvalsh`` reads one triangle only,
+    which is why the symmetry test is exact.
     """
     t = np.asarray(t)
     n = t.shape[0]
@@ -66,14 +69,20 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
     scale = float(np.max(np.abs(t)))
     if not np.isfinite(scale) or scale == 0.0:
         raise Singular("matrix entries are zero or non-finite")
-    sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
+    if np.isrealobj(t) and np.array_equal(t, t.T):
+        sigma_min = float(np.min(np.abs(np.linalg.eigvalsh(t))))
+    else:
+        sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
     lu, piv = lu_factor(t)
     pivot_min = float(np.min(np.abs(np.diag(lu))))
     if not np.isfinite(pivot_min) or pivot_min < pivot_rtol * scale:
         raise Singular(
             f"pivot {pivot_min:.3e} below threshold {pivot_rtol * scale:.3e}")
-    g = lu_solve((lu, piv), np.eye(n, dtype=t.dtype))
-    residual = float(np.linalg.norm(t @ g - np.eye(n)))
+    g = lu_solve((lu, piv), np.eye(n, dtype=t.dtype), overwrite_b=True)
+    del lu  # freed before the residual product allocates its n x n
+    r = t @ g
+    r[np.diag_indices(n)] -= 1.0
+    residual = float(np.linalg.norm(r))
     gate = residual_rtol * max(1.0, float(np.linalg.norm(t))
                                * float(np.linalg.norm(g)))
     if residual > gate:

@@ -472,6 +472,9 @@ def assemble_t_matrix(potential: PotentialSpec, kernel: HoppingKernel,
     Sites may live on a translated half-lattice (the multi-scale tracking
     frame); only their pairwise differences must be integers.  More than
     ``DENSE_CAP`` sites raise ``BoxTooLarge`` before anything is allocated.
+    The result is float64 when its imaginary part is exactly zero (real
+    phase, energy and kernel), so that real input factors in real
+    arithmetic; otherwise it is complex128.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.shape[0] > DENSE_CAP:
@@ -481,7 +484,7 @@ def assemble_t_matrix(potential: PotentialSpec, kernel: HoppingKernel,
     diag = np.asarray(eval_potential(potential, phases), dtype=complex)
     mat = eps * toeplitz_block(kernel, sites)
     np.fill_diagonal(mat, mat.diagonal() + diag - complex(energy))
-    return mat
+    return mat if mat.imag.any() else mat.real.copy()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Config parsing, sweep orchestration, caching, and bundle emission."""
 
+import functools
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import qplab.dynamics
+import qplab.greens
 from qplab import cli
 from qplab.cli import (
     EigCache,
@@ -22,8 +26,9 @@ from qplab.cli import (
     run,
 )
 from qplab.errors import BoxTooLarge, ConfigInvalid
+from qplab.greens import combes_thomas_check
 from qplab.lattice import box_around
-from qplab.model import PhasePoint
+from qplab.model import PhasePoint, assemble_restriction, spectrum_bounds
 
 
 def make_raw(kind, sweep, model=None, schedule=None):
@@ -238,11 +243,18 @@ def test_eig_cache_replaces_entry_that_does_not_fit_the_box(tmp_path):
     args = ["dynamics", "--config", str(cfg_path), "--out"]
     assert main(args + [str(tmp_path / "clean")]) == 0
     (entry,) = (tmp_path / "eig-cache").glob("*.npz")
-    # too few columns, then the right shape stored in single precision
-    for spoil in (lambda v: v[:, :5], lambda v: v.real.astype(np.float32)):
+
+    def single(v):
+        return v.real.astype(np.float32)
+
+    # too few columns, then the right shape stored in single precision:
+    # the eigenvectors alone, then both eigenvectors and weights
+    for spoil in ({"eigvecs": lambda v: v[:, :5]}, {"eigvecs": single},
+                  {"eigvecs": single, "weights0": single}):
         with np.load(entry) as data:
             arrays = dict(data)
-        arrays["eigvecs"] = spoil(arrays["eigvecs"])
+        for name, fn in spoil.items():
+            arrays[name] = fn(arrays[name])
         with open(entry, "wb") as fh:
             np.savez(fh, **arrays)
         assert main(args + [str(tmp_path / "reloaded")]) == 0
@@ -250,7 +262,8 @@ def test_eig_cache_replaces_entry_that_does_not_fit_the_box(tmp_path):
                 == _bundle_bytes(tmp_path / "clean"))
         with np.load(entry) as data:
             assert data["eigvecs"].shape == (17, 17)
-            assert data["eigvecs"].dtype == np.complex128
+            # a real window stores real eigenvectors
+            assert data["eigvecs"].dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +296,109 @@ def test_green_sweep_skips_resonant_phase():
     assert [e["status"] for e in bundle.summary] == ["skip"]
     assert "not 0-good" in bundle.summary[0]["detail"]
     assert exit_code(bundle) == 0
+
+
+def test_green_sweep_decay_entries_come_from_the_lu_inverse():
+    """The benchmark's green-grid seed-9 point passes every row.
+
+    Building G as the spectral sum V diag(1/(lambda - E)) V^T instead of
+    from the LU inverse makes an absolute error of about eps ||G|| ~ 1e-13
+    in every entry, which swamps the far ones: at r = 341 the spectral sum
+    reads 1.73e-11 against the bound 8.14e-12, a false violation, while
+    the LU inverse reads 4.3e-15.
+    """
+    raw = {"kind": "green", "seed": 9,
+           "model": {"potential": "cosine", "strip": 0.5, "beta": 0.05,
+                     "alpha": 1.0, "rho": 2.0, "eps": 1e-4, "eps0": 1e-2,
+                     "omega": "golden", "tau": 2.0, "gamma": 0.2},
+           "schedule": {"mode": "desk", "rho_prime": 1.5, "s_max": 1,
+                        "delta0": 5e-4, "n0": 8},
+           "sweep": {"radius": 256, "theta": [0.4533584587531274],
+                     "energy": [0.7]}}
+    bundle = run(parse_config(raw))
+    assert [e["status"] for e in bundle.summary] == ["pass"]
+    rows = bundle.artifacts["green_000"].rows
+    assert len(rows) == 513 and all(row[-1] for row in rows)
+    (far,) = [row for row in rows if row[0] == 341]
+    assert far[1] < 1e-13 < far[2]
+
+
+GUARDED_MODULES = ("qplab.greens", "qplab.dynamics", "qplab.model")
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Record (caller, function, dtype) for each factorization that
+    ``GUARDED_MODULES`` ask for."""
+    calls = []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(a, *args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in GUARDED_MODULES:
+                calls.append((caller, name, np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name,
+                            wrap(name, getattr(np.linalg, name)))
+    for mod in (qplab.greens, qplab.dynamics):
+        monkeypatch.setattr(mod, "lu_factor", wrap("lu_factor",
+                                                   mod.lu_factor))
+    return calls
+
+
+def test_real_restrictions_never_reach_complex_lapack(dense_calls):
+    assert [e["status"] for e in run(parse_config(make_raw(
+        "green", GREEN_PASS))).summary] == ["pass"]
+    assert [e["status"] for e in run(parse_config(make_raw(
+        "dynamics", {"radius": 8, "theta": [0.1],
+                     "times": [2.0]}))).summary] == ["pass"]
+    model = parse_config(make_raw("green", GREEN_PASS)).model
+    box = box_around(np.zeros(1), 8)
+    rest = assemble_restriction(model, box, PhasePoint(0.113), 0.0)
+    assert spectrum_bounds(rest).contained
+    assert combes_thomas_check(rest.matrix, box.sites, 0.3 + 1.2j,
+                               0.5, 2.0, 0.5).holds
+    # every path was reached, and none with a complex matrix
+    seen = {(caller, name) for caller, name, _ in dense_calls}
+    assert seen == {("qplab.greens", "eigvalsh"), ("qplab.greens", "eigh"),
+                    ("qplab.greens", "lu_factor"), ("qplab.dynamics", "eigh"),
+                    ("qplab.model", "eigvalsh")}
+    assert {dtype for _, _, dtype in dense_calls} == {np.dtype(np.float64)}
+
+
+def _raise(exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("planted failure")
+    return fail
+
+
+@pytest.mark.parametrize("exc_type", [np.linalg.LinAlgError, MemoryError])
+@pytest.mark.parametrize("kind, sweep, owner, name", [
+    ("green", GREEN_PASS, qplab.greens, "lu_factor"),
+    ("green", GREEN_PASS, np.linalg, "eigvalsh"),
+    ("dynamics", {"radius": 8, "theta": [0.1], "times": [1.0]},
+     np.linalg, "eigh"),
+], ids=["green-lu_factor", "green-eigvalsh", "dynamics-eigh"])
+def test_linalg_and_memory_errors_become_error_rows(
+        tmp_path, monkeypatch, exc_type, kind, sweep, owner, name):
+    monkeypatch.setattr(owner, name, _raise(exc_type))
+    raw = make_raw(kind, sweep)
+    bundle = run(parse_config(raw))
+    assert [e["status"] for e in bundle.summary] == ["error"]
+    assert bundle.summary[0]["detail"] == (
+        f"{exc_type.__name__}: planted failure")
+    assert exit_code(bundle) == 2
+    with pytest.raises(exc_type):
+        run(parse_config(raw), fail_fast=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    for flags in ([], ["--fail-fast"]):
+        assert main([kind, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")] + flags) == 2
 
 
 def test_error_rows_and_fail_fast():
