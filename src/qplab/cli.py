@@ -43,9 +43,10 @@ Config layout, JSON with flat sections::
 An explicitly empty grid (``"theta": []``) is an intentional empty sweep
 and produces a manifest-only bundle; an absent grid is a config error.
 Exit codes: 0 all points pass, 1 at least one recorded violation, 2
-configuration or runtime failure.  ``QPLAB_CACHE_DIR`` overrides where
-eigendecompositions are cached between runs; on-disk cache state never
-changes bundle contents, only speed.
+configuration or runtime failure.  Eigendecompositions are cached between
+runs in ``QPLAB_CACHE_DIR`` (default ``~/.cache/qplab-eig``) under a key
+that pins numpy, scipy and the BLAS threads, so cache state never changes
+bundle contents, only speed.  ``--jobs N`` runs N points at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .dynamics import (
     EvolutionData,
@@ -343,7 +345,7 @@ def build_points(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cache
+# eigendata cache
 
 
 # Version of the cached eigendecomposition: bump it whenever assembly, the
@@ -351,9 +353,12 @@ def build_points(cfg: ExperimentConfig) -> list:
 # by older code get new keys instead of being reused.
 CACHE_SCHEMA = 3
 
+# LAPACK bits can change with the BLAS thread count, so these enter the key
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def cache_key(model: ModelSpec, box, theta) -> str:
-    """Content hash of an assembly; floats enter as exact hex, no rounding."""
+    """Hash of an assembly and its LAPACK setting; floats as exact hex."""
     th = complex(theta.theta) if hasattr(theta, "theta") else complex(theta)
 
     def fx(v: float) -> str:
@@ -371,6 +376,10 @@ def cache_key(model: ModelSpec, box, theta) -> str:
         "center2": [int(c) for c in box.center2],
         "radius": fx(box.radius),
         "theta": [fx(th.real), fx(th.imag)],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": [os.environ.get(v) for v in _THREAD_VARS],
+        "cpus": os.cpu_count(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
@@ -379,69 +388,53 @@ def cache_key(model: ModelSpec, box, theta) -> str:
 def _cache_dir() -> str:
     return os.environ.get(
         "QPLAB_CACHE_DIR",
-        os.path.join(tempfile.gettempdir(), "qplab-eig-cache"))
+        os.path.join(os.path.expanduser("~"), ".cache", "qplab-eig"))
 
 
-class EigCache:
-    """Single-writer eigendecomposition store shared across sweep points.
+def _disk_load(path: str, box) -> EvolutionData | None:
+    """The entry at ``path`` if it exists and fits ``box``, else None."""
+    try:
+        with np.load(path) as data:
+            ev = EvolutionData(data["sites"], data["eigvals"],
+                               data["eigvecs"], int(data["origin_idx"]),
+                               data["weights0"], data["dists"])
+    except Exception:
+        return None
+    n = box.sites.shape[0]
+    fits = (ev.sites.dtype == box.sites.dtype
+            and np.array_equal(ev.sites, box.sites)
+            and ev.eigvals.dtype == ev.dists.dtype == np.float64
+            and ev.eigvecs.dtype == ev.weights0.dtype
+            and ev.eigvecs.dtype in (np.float64, np.complex128)
+            and ev.eigvecs.shape == (n, n)
+            and all(a.shape == (n,)
+                    for a in (ev.eigvals, ev.weights0, ev.dists))
+            and 0 <= ev.origin_idx < n)
+    return ev if fits else None
 
-    Distinct keys are computed once up front (serially), so in-run hit
-    counts do not depend on thread scheduling; the disk layer only recalls
-    identical float64 payloads and can never change results.
+
+def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
+    """The eigendecomposition of ``H(theta)`` on ``box``, from disk if stored.
+
+    A miss computes it and stores it atomically; nothing stays in memory.
     """
-
-    def __init__(self):
-        self.memo: dict = {}
-        self.hits = 0
-        self.disk_dir = _cache_dir()
-
-    def _disk_load(self, key: str, box) -> EvolutionData | None:
-        """A stored entry for ``box``, or None when absent or unusable."""
-        path = os.path.join(self.disk_dir, key + ".npz")
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                ev = EvolutionData(data["sites"], data["eigvals"],
-                                   data["eigvecs"], int(data["origin_idx"]),
-                                   data["weights0"], data["dists"])
-        except Exception:
-            return None
-        n = box.sites.shape[0]
-        fits = (ev.sites.dtype == box.sites.dtype
-                and np.array_equal(ev.sites, box.sites)
-                and ev.eigvals.dtype == ev.dists.dtype == np.float64
-                and ev.eigvecs.dtype == ev.weights0.dtype
-                and ev.eigvecs.dtype in (np.float64, np.complex128)
-                and ev.eigvecs.shape == (n, n)
-                and all(a.shape == (n,)
-                        for a in (ev.eigvals, ev.weights0, ev.dists))
-                and 0 <= ev.origin_idx < n)
-        return ev if fits else None
-
-    def _disk_store(self, key: str, ev: EvolutionData) -> None:
-        try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, sites=ev.sites, eigvals=ev.eigvals,
-                         eigvecs=ev.eigvecs, origin_idx=ev.origin_idx,
-                         weights0=ev.weights0, dists=ev.dists)
-            os.replace(tmp, os.path.join(self.disk_dir, key + ".npz"))
-        except OSError:
-            pass
-
-    def get(self, model: ModelSpec, box, theta) -> EvolutionData:
-        key = cache_key(model, box, theta)
-        if key in self.memo:
-            self.hits += 1
-            return self.memo[key]
-        ev = self._disk_load(key, box)
-        if ev is None:
-            ev = evolve_amplitudes(model, box, theta)
-            self._disk_store(key, ev)
-        self.memo[key] = ev
+    disk_dir = _cache_dir()
+    path = os.path.join(disk_dir, cache_key(model, box, theta) + ".npz")
+    ev = _disk_load(path, box)
+    if ev is not None:
         return ev
+    ev = evolve_amplitudes(model, box, theta)
+    try:
+        os.makedirs(disk_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=disk_dir, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, sites=ev.sites, eigvals=ev.eigvals,
+                     eigvecs=ev.eigvecs, origin_idx=ev.origin_idx,
+                     weights0=ev.weights0, dists=ev.dists)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +573,6 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
                   ) -> PointResult:
     model = cfg.model
     schedule = ctx["schedule"]
-    cache: EigCache = ctx["cache"]
     p = float(_scalar(cfg.sweep, "sweep.p", (int, float), 2.0))
     averaged = _scalar(cfg.sweep, "sweep.averaged", bool, False)
     moment = time_avg_moment if averaged else moment_p
@@ -589,7 +581,7 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
         raise ConfigInvalid("times grid must not be empty",
                             field="sweep.times")
     box = box_around(np.zeros(model.dim), _radius(cfg, 64))
-    ev = cache.get(model, box, point["theta"])
+    ev = eigendata(model, box, point["theta"])
     delta0 = math.exp(schedule.log_delta[0])
     beta = model.potential.beta
     t0 = max(1.0 / beta, delta0 ** -3.0)
@@ -614,9 +606,8 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
 def _run_localize(cfg: ExperimentConfig, point: dict, ctx: dict
                   ) -> PointResult:
     model = cfg.model
-    cache: EigCache = ctx["cache"]
     box = box_around(np.zeros(model.dim), _radius(cfg, 64))
-    ev = cache.get(model, box, point["theta"])
+    ev = eigendata(model, box, point["theta"])
     profiles = localization_profile(ev, model.hopping.rho)
     dim = cfg.model.dim
     header = ("eigenvalue",) + tuple(f"c{i}" for i in range(dim)) \
@@ -757,60 +748,35 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
         fail_fast: bool = False) -> ReportBundle:
     """Execute the sweep and assemble an in-memory bundle.
 
-    Grid points run under a thread pool but merge in sorted-parameter
-    order, so the bundle contents never depend on scheduling.  A point
-    that raises one of ``POINT_ERRORS`` becomes an ``error`` row unless
-    fail-fast is set.
+    With ``jobs > 1`` the points run in a thread pool; either way the
+    results keep sorted-parameter order, so the bundle contents never
+    depend on scheduling.  A point that raises one of ``POINT_ERRORS``
+    becomes an ``error`` row unless fail-fast is set.
     """
     t_start = time.monotonic()
     points = build_points(cfg)
-    ctx: dict = {"cache": EigCache()}
+    ctx: dict = {}
     if cfg.kind in ("green", "msa", "dynamics"):
         ctx["schedule"] = _build_schedule(cfg)
 
-    if cfg.kind in ("dynamics", "localize"):
-        box = box_around(np.zeros(cfg.model.dim), _radius(cfg, 64))
-        for theta in sorted({pt["theta"] for pt in points}):
-            try:
-                ctx["cache"].get(cfg.model, box, theta)
-            except POINT_ERRORS:
-                # the point meets the same error again and reports it
-                if fail_fast:
-                    raise
-        ctx["cache"].hits = 0
+    def point(i: int) -> PointResult:
+        try:
+            return _HANDLERS[cfg.kind](cfg, points[i], ctx)
+        except POINT_ERRORS as exc:
+            if fail_fast:
+                raise
+            return PointResult("error", f"{type(exc).__name__}: {exc}")
 
-    handler = _HANDLERS[cfg.kind]
-
-    def work(i: int) -> PointResult:
-        return handler(cfg, points[i], ctx)
-
-    results: dict = {}
     if jobs > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {i: pool.submit(work, i) for i in range(len(points))}
-            for i in range(len(points)):
-                try:
-                    results[i] = futures[i].result()
-                except POINT_ERRORS as exc:
-                    if fail_fast:
-                        raise
-                    results[i] = PointResult(
-                        "error", f"{type(exc).__name__}: {exc}")
+            results = list(pool.map(point, range(len(points))))
     else:
-        for i in range(len(points)):
-            try:
-                results[i] = work(i)
-            except POINT_ERRORS as exc:
-                if fail_fast:
-                    raise
-                results[i] = PointResult(
-                    "error", f"{type(exc).__name__}: {exc}")
+        results = list(map(point, range(len(points))))
 
     summary = []
     artifacts: dict = {}
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
-    for i in range(len(points)):
-        res = results[i]
+    for i, res in enumerate(results):
         counts[res.status] += 1
         names = []
         for base, table in sorted(res.tables.items()):
@@ -831,8 +797,6 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
         "config_sha256": hashlib.sha256(
             _canonical(cfg.raw).encode()).hexdigest(),
         "points": len(points),
-        "cache": {"memo_hits": ctx["cache"].hits,
-                  "cache_hit": ctx["cache"].hits > 0},
         "counts": counts,
         "artifact_files": sorted(artifacts),
         "timings": ({"total_s": time.monotonic() - t_start}

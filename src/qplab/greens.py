@@ -29,6 +29,14 @@ from .lattice import pairwise_sup_dist
 from .model import assemble_t_matrix, log_decay_envelope
 
 LOG2 = float(np.log(2.0))
+# fixed gates: the relative LU pivot and identity residual of green_solve,
+# the Neumann stopping term, the relative gap of det T(z) to det T(-z) and
+# the log excess at which a decay entry violates its envelope
+PIVOT_RTOL = 1e-14
+RESIDUAL_RTOL = 1e-8
+NEUMANN_TOL = 1e-14
+EVENNESS_TOL = 1e-8
+DECAY_LOG_TOL = 1e-9
 
 
 def two_norm(a: np.ndarray) -> float:
@@ -49,11 +57,10 @@ class GreenMatrix:
     pivot_min: float
 
 
-def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
-                residual_rtol: float = 1e-8) -> GreenMatrix:
+def green_solve(t: np.ndarray) -> GreenMatrix:
     """Invert a dense restriction, refusing numerically singular input.
 
-    Raises Singular when an LU pivot falls below ``pivot_rtol`` times the
+    Raises Singular when an LU pivot falls below ``PIVOT_RTOL`` times the
     largest entry, or when the identity residual of the computed inverse
     exceeds the conditioning-aware tolerance.  ``op_norm`` is the exact
     ``||T^{-1}|| = 1 / sigma_min(T)``, taken before the inverse exists so
@@ -75,15 +82,15 @@ def green_solve(t: np.ndarray, *, pivot_rtol: float = 1e-14,
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
     lu, piv = lu_factor(t)
     pivot_min = float(np.min(np.abs(np.diag(lu))))
-    if not np.isfinite(pivot_min) or pivot_min < pivot_rtol * scale:
+    if not np.isfinite(pivot_min) or pivot_min < PIVOT_RTOL * scale:
         raise Singular(
-            f"pivot {pivot_min:.3e} below threshold {pivot_rtol * scale:.3e}")
+            f"pivot {pivot_min:.3e} below threshold {PIVOT_RTOL * scale:.3e}")
     g = lu_solve((lu, piv), np.eye(n, dtype=t.dtype), overwrite_b=True)
     del lu  # freed before the residual product allocates its n x n
     r = t @ g
     r[np.diag_indices(n)] -= 1.0
     residual = float(np.linalg.norm(r))
-    gate = residual_rtol * max(1.0, float(np.linalg.norm(t))
+    gate = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(t))
                                * float(np.linalg.norm(g)))
     if residual > gate:
         raise Singular(
@@ -325,7 +332,7 @@ class NeumannData:
 
 
 def neumann_inverse(diag, w: np.ndarray, eps: float, *,
-                    max_terms: int = 64, tol: float = 1e-14) -> NeumannData:
+                    max_terms: int = 64) -> NeumannData:
     """Invert ``diag + eps W`` by Neumann series around the diagonal.
 
     Requires ``||eps diag^{-1} W|| < 1``; the returned remainder bound is the
@@ -349,7 +356,7 @@ def neumann_inverse(diag, w: np.ndarray, eps: float, *,
         term = -k @ term
         total += term
         terms += 1
-        if float(np.max(np.abs(term))) <= tol * max(
+        if float(np.max(np.abs(term))) <= NEUMANN_TOL * max(
                 1.0, float(np.max(np.abs(total)))):
             break
     else:
@@ -375,8 +382,7 @@ class EvennessReport:
 
 
 def determinant_evenness_check(potential, kernel, omega, eps, sites,
-                               z: complex, energy=0.0, *,
-                               tol: float = 1e-8) -> EvennessReport:
+                               z: complex, energy=0.0) -> EvennessReport:
     """``det T(z)`` over an origin-symmetric site set is even in ``z``.
 
     The site set may live on the half-integer lattice (tracking frame).
@@ -400,7 +406,7 @@ def determinant_evenness_check(potential, kernel, omega, eps, sites,
         det[sgn] = (complex(sign), float(logabs))
     (s_p, l_p), (s_m, l_m) = det[1.0], det[-1.0]
     rel = float(abs(s_p - s_m * np.exp(np.clip(l_m - l_p, -700.0, 700.0))))
-    return EvennessReport(l_p, l_m, rel, rel <= tol)
+    return EvennessReport(l_p, l_m, rel, rel <= EVENNESS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +418,6 @@ class DecayFit:
     alpha_target: float
     fitted_alpha: float
     threshold: float
-    log_prefactor: float
     n_pairs: int
     violations: int
     worst_pair: tuple | None
@@ -424,9 +429,8 @@ class DecayFit:
 
 
 def decay_scan(g: np.ndarray, sites: np.ndarray, alpha: float, rho: float, *,
-               threshold: float = 0.0, log_prefactor: float = 0.0,
-               log_tol: float = 1e-9) -> DecayFit:
-    """Check ``|G(x,y)| <= exp(log_prefactor - alpha log^rho(1+dist))``.
+               threshold: float = 0.0) -> DecayFit:
+    """Check ``|G(x,y)| <= exp(-alpha log^rho(1+dist))``.
 
     Pairs at distance <= ``threshold`` are exempt (the estimates only speak
     past a resonance-sized core).  The fitted rate is the least-squares slope
@@ -439,13 +443,13 @@ def decay_scan(g: np.ndarray, sites: np.ndarray, alpha: float, rho: float, *,
     sel = dist > threshold
     n_pairs = int(np.count_nonzero(sel))
     if n_pairs == 0:
-        return DecayFit(alpha, float("nan"), threshold, log_prefactor, 0, 0,
-                        None, float("-inf"))
+        return DecayFit(alpha, float("nan"), threshold, 0, 0, None,
+                        float("-inf"))
     with np.errstate(divide="ignore"):
         log_g = np.log(np.abs(g))
-    excess = log_g - (log_prefactor + log_decay_envelope(alpha, rho, dist))
+    excess = log_g - log_decay_envelope(alpha, rho, dist)
     excess = np.where(sel, excess, -np.inf)
-    bad = excess > log_tol
+    bad = excess > DECAY_LOG_TOL
     worst = None
     if np.any(bad):
         i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
@@ -458,6 +462,5 @@ def decay_scan(g: np.ndarray, sites: np.ndarray, alpha: float, rho: float, *,
         fitted = float(np.sum(x * y) / denom) if denom > 0 else float("nan")
     else:
         fitted = float("nan")
-    return DecayFit(alpha, fitted, threshold, log_prefactor, n_pairs,
-                    int(np.count_nonzero(bad)), worst,
-                    float(np.max(excess)))
+    return DecayFit(alpha, fitted, threshold, n_pairs,
+                    int(np.count_nonzero(bad)), worst, float(np.max(excess)))

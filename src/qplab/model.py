@@ -30,6 +30,8 @@ from .lattice import LatticeBox, box_around
 from .torus import torus_norm, wrap_to_unit
 
 TWO_PI = 2.0 * math.pi
+# largest ``|v(theta0) - E|`` that ``EnergyPoint.at`` accepts
+PREIMAGE_TOL = 1e-9
 
 
 def log_decay_envelope(alpha: float, rho: float, dist) -> np.ndarray:
@@ -423,14 +425,13 @@ class EnergyPoint:
     theta0: complex | None = None
 
     @classmethod
-    def at(cls, potential: PotentialSpec, energy, tol: float = 1e-9
-           ) -> "EnergyPoint":
+    def at(cls, potential: PotentialSpec, energy) -> "EnergyPoint":
         """Energy together with a verified phase preimage ``v(theta0) = E``."""
         theta0 = solve_phase_for_energy(potential, energy)
         resid = abs(complex(eval_potential(potential, theta0)) - energy)
-        if resid > tol:
-            raise ValueError(
-                f"phase preimage residual {resid:.3e} above tolerance {tol}")
+        if resid > PREIMAGE_TOL:
+            raise ValueError(f"phase preimage residual {resid:.3e} above "
+                             f"tolerance {PREIMAGE_TOL}")
         return cls(complex(energy), theta0)
 
 

@@ -62,6 +62,8 @@ from .model import (
 from .torus import log_torus_norm, torus_norm, wrap_to_symmetric
 
 MAX_EXP = 700.0
+# absorb-and-symmetrize rounds before ``construct_blocks`` gives up
+BLOCK_MAX_ROUNDS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +395,8 @@ class BlockFamily:
 
 def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                      offset2, schedule: ScaleSchedule,
-                     lower: Sequence["BlockFamily"], window: LatticeBox,
-                     *, max_rounds: int = 16) -> BlockFamily:
+                     lower: Sequence["BlockFamily"], window: LatticeBox
+                     ) -> BlockFamily:
     """Build resonant/doubled/enlarged blocks with absorption and symmetry.
 
     Each level starts as a sup-norm ball, absorbs every lower-scale enlarged
@@ -420,7 +422,7 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                 raise WindowTooSmall(
                     f"block around {tuple(c / 2 for c in key)} "
                     "escapes the working window; enlarge it")
-        for _ in range(max_rounds):
+        for _ in range(BLOCK_MAX_ROUNDS):
             # a round that takes no tile ends the absorption
             grown = [2 * _absorb(blk, lower_tiles, lower_tiles,
                                  len(lower_tiles) + 1)[0] - np.asarray(key)
@@ -721,6 +723,8 @@ RING_SAMPLES = 64
 MULT_SAMPLES = 16
 MAX_RING_SAMPLES = 4096
 MAX_ARG_STEP = math.pi / 4.0
+# Newton steps per start before ``track_theta`` abandons that start
+NEWTON_BUDGET = 60
 
 
 def _winding(vals: np.ndarray) -> int:
@@ -780,7 +784,7 @@ def _count_zeros(z: np.ndarray, f: np.ndarray, g: np.ndarray,
 
 def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 case: CaseData, schedule: ScaleSchedule, s_next: int,
-                energy: complex, *, newton_budget: int = 60) -> ThetaStep:
+                energy: complex) -> ThetaStep:
     """Locate the characteristic root ``theta_{s_next}`` by Newton + winding.
 
     Works on the translated frame of one representative enlarged block.  The
@@ -877,7 +881,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         local: list = []
         for z in starts:
             f, g = ev.det_logderiv(z)
-            for _ in range(newton_budget):
+            for _ in range(NEWTON_BUDGET):
                 iters_used += 1
                 if abs(f) < tol_det or not (cmath.isfinite(g) and g != 0):
                     break

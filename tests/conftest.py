@@ -21,6 +21,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+@pytest.fixture(autouse=True)
+def isolated_cache(tmp_path, monkeypatch):
+    """Every test gets its own eigendecomposition cache directory."""
+    monkeypatch.setenv("QPLAB_CACHE_DIR", str(tmp_path / "eig-cache"))
+
+
 @pytest.fixture(scope="session")
 def cosine_potential():
     return PotentialSpec.cosine()

@@ -13,12 +13,12 @@ import qplab.dynamics
 import qplab.greens
 from qplab import cli
 from qplab.cli import (
-    EigCache,
     _grid,
     _radius,
     build_points,
     cache_key,
     default_config,
+    eigendata,
     emit,
     exit_code,
     main,
@@ -42,11 +42,6 @@ def make_raw(kind, sweep, model=None, schedule=None):
 
 
 GREEN_PASS = {"radius": 8, "theta": [0.0], "energy": [0.3]}
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("QPLAB_CACHE_DIR", str(tmp_path / "eig-cache"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +200,41 @@ def test_cache_key_stability_and_sensitivity(weak_model, monkeypatch):
     assert key == cache_key(weak_model, box, PhasePoint(0.3))
     assert key != cache_key(weak_model, box, 0.3 + 1e-12)
     assert key != cache_key(weak_model, box_around(np.zeros(1), 9), 0.3)
+    # LAPACK bits depend on the BLAS thread count, so the key does too
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    one_thread = cache_key(weak_model, box, 0.3)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cache_key(weak_model, box, 0.3) != one_thread
     monkeypatch.setattr(cli, "CACHE_SCHEMA", cli.CACHE_SCHEMA + 1)
     assert key != cache_key(weak_model, box, 0.3)
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
 
 
-def test_eig_cache_memo_and_disk_layers(weak_model, tmp_path):
+def test_eigendata_disk_layer(weak_model, tmp_path, monkeypatch):
     box = box_around(np.zeros(1), 6)
-    cache = EigCache()
-    ev1 = cache.get(weak_model, box, 0.3)
-    ev2 = cache.get(weak_model, box, 0.3)
-    assert cache.hits == 1 and ev2 is ev1
-
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    ev1 = eigendata(weak_model, box, 0.3)
     key = cache_key(weak_model, box, 0.3)
     disk_file = tmp_path / "eig-cache" / (key + ".npz")
     assert disk_file.exists()
 
-    fresh = EigCache()
-    ev3 = fresh.get(weak_model, box, 0.3)
-    assert fresh.hits == 0
-    np.testing.assert_allclose(ev3.eigvals, ev1.eigvals)
-    np.testing.assert_array_equal(ev3.sites, ev1.sites)
+    # a hit reads the stored arrays back without recomputing
+    with monkeypatch.context() as m:
+        m.setattr(cli, "evolve_amplitudes", _raise(AssertionError))
+        ev2 = eigendata(weak_model, box, 0.3)
+    assert ev2 is not ev1
+    np.testing.assert_array_equal(ev2.eigvals, ev1.eigvals)
+    np.testing.assert_array_equal(ev2.eigvecs, ev1.eigvecs)
+    np.testing.assert_array_equal(ev2.sites, ev1.sites)
 
+    # an entry written under two BLAS threads is not read under one
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    eigendata(weak_model, box, 0.3)
+    assert len(list((tmp_path / "eig-cache").glob("*.npz"))) == 2
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     disk_file.write_bytes(b"this is not an npz archive")
-    recovered = EigCache().get(weak_model, box, 0.3)
+    recovered = eigendata(weak_model, box, 0.3)
     np.testing.assert_allclose(recovered.eigvals, ev1.eigvals)
 
 
@@ -432,12 +438,14 @@ def test_msa_sweep_reports_reached_depth():
     assert "reached scale 0 of 1" in bundle.summary[0]["detail"]
 
 
-def test_dynamics_sweep_shares_eigendecompositions():
+def test_dynamics_sweep_shares_eigendecompositions(tmp_path):
     raw = make_raw("dynamics", {"radius": 16, "theta": [0.1, 0.3],
                                 "times": [2.0, 5.0]})
     bundle = run(parse_config(raw))
     assert [e["status"] for e in bundle.summary] == ["pass", "pass"]
-    assert bundle.manifest["cache"] == {"memo_hits": 2, "cache_hit": True}
+    # one stored eigendecomposition per phase serves all of its times
+    assert len(list((tmp_path / "eig-cache").glob("*.npz"))) == 2
+    assert "cache" not in bundle.manifest
     raw_no_times = make_raw("dynamics", {"radius": 16, "theta": [0.1]})
     with pytest.raises(ConfigInvalid, match="missing required grid"):
         run(parse_config(raw_no_times), fail_fast=True)
@@ -532,13 +540,28 @@ def test_bundle_byte_identical_on_rerun(tmp_path):
     assert _read_bundle(tmp_path / "a") == _read_bundle(tmp_path / "b")
 
 
-def test_parallel_jobs_do_not_change_bundles(tmp_path):
-    raw = make_raw("green", {"radius": 8, "theta": [0.0, 0.25],
-                             "energy": [0.3]})
-    emit(run(parse_config(raw), jobs=1), str(tmp_path / "serial"))
-    emit(run(parse_config(raw), jobs=4), str(tmp_path / "pooled"))
+PARALLEL_SWEEPS = {
+    "green": {"radius": 8, "theta": [0.0, 0.25], "energy": [0.3]},
+    "dynamics": {"radius": 8, "theta": [0.1, 0.3], "times": [2.0, 200.0]},
+    "localize": {"radius": 8, "theta": [0.1, 0.3]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARALLEL_SWEEPS))
+def test_parallel_jobs_do_not_change_bundles(tmp_path, monkeypatch, kind):
+    raw = make_raw(kind, PARALLEL_SWEEPS[kind])
+    for name, jobs in (("serial", 1), ("pooled", 4)):
+        # a cold cache for each run, so both compute every point
+        monkeypatch.setenv("QPLAB_CACHE_DIR", str(tmp_path / f"{name}-eig"))
+        emit(run(parse_config(raw), jobs=jobs), str(tmp_path / name))
     assert _read_bundle(tmp_path / "serial") == \
         _read_bundle(tmp_path / "pooled")
+    if kind == "dynamics":
+        # a warm rerun reads every point from disk and changes no byte
+        monkeypatch.setattr(cli, "evolve_amplitudes", _raise(AssertionError))
+        emit(run(parse_config(raw), jobs=4), str(tmp_path / "warm"))
+        assert _read_bundle(tmp_path / "warm") == \
+            _read_bundle(tmp_path / "serial")
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_offaxis_decay_beyond_onset(offaxis_run):
     rep = offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170], [185]])
     assert rep.holds
     assert rep.onset == pytest.approx(158.59, abs=0.05)
-    assert rep.fit.violations == 0
+    assert rep.violations == 0
     for entry in rep.entries:
         assert entry.log_green < entry.log_bound
         assert entry.regular_ok and entry.containment_ok
