@@ -40,6 +40,10 @@ Config layout, JSON with flat sections::
       "output": {"record_timings": false}
     }
 
+``parse_config`` checks every field the kind reads before any point runs
+(``radius`` defaults to 64 for msa, dynamics and localize, 16 otherwise);
+a bad one raises ``ConfigInvalid`` with its dotted path and no bundle is
+written, so an ``error`` row always means a runtime failure of that point.
 An explicitly empty grid (``"theta": []``) is an intentional empty sweep
 and produces a manifest-only bundle; an absent grid is a config error.
 Exit codes: 0 all points pass, 1 at least one recorded violation, 2
@@ -69,6 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
+from . import __version__
 from .dynamics import (
     EvolutionData,
     evolve_amplitudes,
@@ -76,7 +81,13 @@ from .dynamics import (
     moment_p,
     time_avg_moment,
 )
-from .errors import ConfigInvalid, IoFailure, QplabError
+from .errors import (
+    ConfigInvalid,
+    IoFailure,
+    QplabError,
+    ScheduleOverflow,
+    SizeOverflow,
+)
 from .greens import (
     combes_thomas_check,
     det_perturbation_check,
@@ -86,6 +97,8 @@ from .greens import (
     schur_complement,
 )
 from .lattice import (
+    DEFAULT_SITE_CAP,
+    LatticeBox,
     box_around,
     extract_lower_bound,
     pairwise_sup_dist,
@@ -93,6 +106,7 @@ from .lattice import (
     quasi_metric_defects,
 )
 from .model import (
+    DENSE_CAP,
     FrequencyVector,
     HoppingKernel,
     ModelSpec,
@@ -101,7 +115,7 @@ from .model import (
     assemble_restriction,
     solve_phase_for_energy,
 )
-from .msa import build_schedule, run_induction
+from .msa import ScaleSchedule, build_schedule, run_induction
 from .torus import torus_norm
 
 # what a failing point may raise and still end as an ``error`` row: package
@@ -119,16 +133,8 @@ _SWEEP_KEYS = {"radius", "theta", "energy", "times", "p", "s_target",
                "averaged", "instances"}
 _OUTPUT_KEYS = {"record_timings"}
 
+_NUMBER = (int, float)
 _REQUIRED = object()
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("artifact")
-    except Exception:
-        return "0+unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -146,37 +152,86 @@ def _section(raw: dict, name: str, allowed: set) -> dict:
 
 
 def _scalar(sec: dict, path: str, types, default=_REQUIRED, *,
-            positive: bool = False):
+            positive: bool = False, below: float | None = None):
+    """The field ``path`` of ``sec``, checked against ``types``.
+
+    JSON ``true`` is an int to Python and ``NaN`` parses to a float, so a
+    boolean only matches ``bool`` and a float must be finite.  A default is
+    returned unchecked.
+    """
     name = path.split(".")[-1]
     if name not in sec:
         if default is _REQUIRED:
             raise ConfigInvalid("missing required field", field=path)
         return default
     val = sec[name]
-    if isinstance(val, bool) and bool not in (types if isinstance(types, tuple)
-                                              else (types,)):
+    types = types if isinstance(types, tuple) else (types,)
+    if isinstance(val, bool) and bool not in types:
         raise ConfigInvalid("expected a number, got a boolean", field=path)
     if not isinstance(val, types):
-        raise ConfigInvalid(f"expected {types}, got {type(val).__name__}",
-                            field=path)
+        raise ConfigInvalid(
+            f"expected {' or '.join(t.__name__ for t in types)}, got "
+            f"{type(val).__name__}", field=path)
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigInvalid("must be finite", field=path)
     if positive and not val > 0:
         raise ConfigInvalid("must be positive", field=path)
+    if below is not None and not val < below:
+        raise ConfigInvalid(f"must be below {below}", field=path)
     return val
 
 
-@dataclass
+def _grid(sweep: dict, name: str, seed: int, substream: int) -> list:
+    """The grid ``sweep.<name>`` as floats: a list, a range object, or a
+    draw from the seed's ``substream``."""
+    path = f"sweep.{name}"
+    if name not in sweep:
+        raise ConfigInvalid("missing required grid", field=path)
+    spec = sweep[name]
+    if isinstance(spec, list):
+        entries = {str(i): v for i, v in enumerate(spec)}
+        return [float(_scalar(entries, f"{path}.{i}", _NUMBER))
+                for i in entries]
+    if not isinstance(spec, dict):
+        raise ConfigInvalid("expected a list or a range object", field=path)
+    count_path = f"{path}.random" if "random" in spec else f"{path}.count"
+    count = _scalar(spec, count_path, int)
+    if count < 0:
+        raise ConfigInvalid("must be non-negative", field=count_path)
+    if "random" in spec:
+        lo = float(_scalar(spec, f"{path}.low", _NUMBER, 0.0))
+        hi = float(_scalar(spec, f"{path}.high", _NUMBER, 1.0))
+        rng = np.random.default_rng([seed, substream])
+        return sorted(float(v) for v in rng.uniform(lo, hi, count))
+    start = float(_scalar(spec, f"{path}.start", _NUMBER))
+    stop = float(_scalar(spec, f"{path}.stop", _NUMBER))
+    if _scalar(spec, f"{path}.log", bool, False):
+        if start <= 0 or stop <= 0:
+            raise ConfigInvalid("log grids need positive endpoints",
+                                field=path)
+        return [float(v) for v in np.geomspace(start, stop, count)]
+    return [float(v) for v in np.linspace(start, stop, count)]
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked config: ``points`` are the sorted sweep parameters (the
+    merge order) and ``window`` the box around the origin every point uses.
+    """
+
     kind: str
     seed: int
     model: ModelSpec
-    schedule_cfg: dict
-    sweep: dict
-    output: dict
-    raw: dict
-
-    @property
-    def record_timings(self) -> bool:
-        return bool(self.output.get("record_timings", False))
+    config_sha256: str
+    points: list
+    window: LatticeBox
+    schedule: ScaleSchedule | None
+    times: list
+    p: float
+    averaged: bool
+    s_target: int
+    instances: int
+    record_timings: bool
 
 
 def default_config(kind: str = "verify-lemmas") -> dict:
@@ -195,6 +250,11 @@ def default_config(kind: str = "verify-lemmas") -> dict:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """Check ``raw`` and resolve every field its kind reads.
+
+    This is the only reader of a config: each bad field raises
+    ``ConfigInvalid`` naming its dotted path, before any point runs.
+    """
     if not isinstance(raw, dict):
         raise ConfigInvalid("config root must be an object")
     for key in raw:
@@ -206,142 +266,127 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigInvalid(f"must be one of {', '.join(KINDS)}",
                             field="kind")
     seed = _scalar(raw, "seed", int, 0)
+    if seed < 0:
+        raise ConfigInvalid("must be non-negative", field="seed")
 
     m = _section(raw, "model", _MODEL_KEYS)
     pot_kind = _scalar(m, "model.potential", str, "cosine")
     if pot_kind != "cosine":
         raise ConfigInvalid("only the cosine potential is built in",
                             field="model.potential")
-    strip = float(_scalar(m, "model.strip", (int, float), 0.5,
-                          positive=True))
-    beta = float(_scalar(m, "model.beta", (int, float), 0.05, positive=True))
-    alpha = float(_scalar(m, "model.alpha", (int, float), 1.0,
-                          positive=True))
-    rho = float(_scalar(m, "model.rho", (int, float), 2.0, positive=True))
-    eps = float(_scalar(m, "model.eps", (int, float), _REQUIRED))
-    if "eps0" in m:
-        eps0 = float(_scalar(m, "model.eps0", (int, float), _REQUIRED,
-                             positive=True))
-    else:
-        eps0 = 1e-2
+    strip = float(_scalar(m, "model.strip", _NUMBER, 0.5, positive=True))
+    beta = float(_scalar(m, "model.beta", _NUMBER, 0.05, positive=True))
+    alpha = float(_scalar(m, "model.alpha", _NUMBER, 1.0, positive=True))
+    rho = float(_scalar(m, "model.rho", _NUMBER, 2.0, positive=True))
+    eps = float(_scalar(m, "model.eps", _NUMBER))
+    eps0 = float(_scalar(m, "model.eps0", _NUMBER, 1e-2, positive=True))
+    if "eps0" not in m:
         warnings.warn(
             "model.eps0 not set; using the 1e-2 convention, but the theory "
             "only promises existence of a sufficiently small threshold",
             stacklevel=2)
-    tau = float(_scalar(m, "model.tau", (int, float), 2.0, positive=True))
-    gamma = float(_scalar(m, "model.gamma", (int, float), 0.2,
-                          positive=True))
-    omega_raw = m.get("omega", "golden")
-    if omega_raw == "golden":
-        freq = FrequencyVector.golden(tau=tau, gamma=gamma)
-    elif isinstance(omega_raw, list) and omega_raw and all(
-            isinstance(v, (int, float)) for v in omega_raw):
-        freq = FrequencyVector(tuple(float(v) for v in omega_raw), tau,
-                               gamma)
-    else:
+    tau = float(_scalar(m, "model.tau", _NUMBER, 2.0, positive=True))
+    gamma = float(_scalar(m, "model.gamma", _NUMBER, 0.2, positive=True))
+    omega = m.get("omega", "golden")
+    # ``type`` rather than ``isinstance``, which would let booleans through
+    if omega != "golden" and (not isinstance(omega, list) or not omega or any(
+            type(v) not in _NUMBER for v in omega)):
         raise ConfigInvalid("expected 'golden' or a list of floats",
                             field="model.omega")
 
-    sched = dict(_section(raw, "schedule", _SCHEDULE_KEYS))
-    sched.setdefault("mode", "desk")
-    if sched["mode"] not in ("desk", "paper"):
+    sc = _section(raw, "schedule", _SCHEDULE_KEYS)
+    mode = _scalar(sc, "schedule.mode", str, "desk")
+    if mode not in ("desk", "paper"):
         raise ConfigInvalid("mode must be 'desk' or 'paper'",
                             field="schedule.mode")
-    rho_prime = float(_scalar(sched, "schedule.rho_prime", (int, float),
-                              1.5, positive=True))
-    sched["rho_prime"] = rho_prime
-    sched["s_max"] = int(_scalar(sched, "schedule.s_max", int, 1))
+    rho_prime = float(_scalar(sc, "schedule.rho_prime", _NUMBER, 1.5,
+                              positive=True))
 
-    potential = PotentialSpec.cosine(strip=strip, beta=beta)
-    hopping = HoppingKernel.saturating(alpha, rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = ModelSpec(potential, hopping, freq, eps, eps0=eps0,
-                          rho_prime=rho_prime)
+    # the ranges the model checks itself: omega, tau, rho and rho'
+    try:
+        freq = (FrequencyVector.golden(tau=tau, gamma=gamma)
+                if omega == "golden"
+                else FrequencyVector(tuple(map(float, omega)), tau, gamma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelSpec(PotentialSpec.cosine(strip=strip, beta=beta),
+                              HoppingKernel.saturating(alpha, rho), freq,
+                              eps, eps0=eps0, rho_prime=rho_prime)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc), field="model") from exc
     if abs(eps) > eps0:
         warnings.warn(
             f"|eps| = {abs(eps)} exceeds eps0 = {eps0}; results leave the "
             "guaranteed regime", stacklevel=2)
 
-    sweep = _section(raw, "sweep", _SWEEP_KEYS)
-    output = _section(raw, "output", _OUTPUT_KEYS)
-    return ExperimentConfig(kind, int(seed), model, sched, dict(sweep),
-                            dict(output), raw)
-
-
-def _build_schedule(cfg: ExperimentConfig):
-    sc = cfg.schedule_cfg
-    kw = {"alpha": cfg.model.hopping.alpha, "rho": cfg.model.hopping.rho,
-          "rho_prime": sc["rho_prime"], "s_max": sc["s_max"]}
-    if sc["mode"] == "paper":
-        kw["eps0"] = sc.get("eps0", cfg.model.eps0)
-    else:
-        kw["delta0"] = sc.get("delta0", 0.02)
-        kw["n0"] = sc.get("n0", 8)
-        kw["g_delta"] = sc.get("g_delta", 3.0)
-        kw["g_n"] = sc.get("g_n", 1.5)
-    try:
-        return build_schedule(sc["mode"], **kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(str(exc), field="schedule") from exc
-
-
-def _grid(cfg: ExperimentConfig, name: str, *, default=None,
-          substream: int = 0) -> list:
-    spec = cfg.sweep.get(name, default)
-    if spec is None:
-        raise ConfigInvalid("missing required grid", field=f"sweep.{name}")
-    path = f"sweep.{name}"
-    if isinstance(spec, list):
-        if not all(isinstance(v, (int, float)) for v in spec):
-            raise ConfigInvalid("grid entries must be numbers", field=path)
-        return [float(v) for v in spec]
-    if isinstance(spec, dict):
-        if "random" in spec:
-            count = spec["random"]
-            if not isinstance(count, int) or count < 0:
-                raise ConfigInvalid("random count must be a non-negative "
-                                    "integer", field=path)
-            rng = np.random.default_rng([cfg.seed, substream])
-            lo = float(spec.get("low", 0.0))
-            hi = float(spec.get("high", 1.0))
-            return sorted(float(v) for v in rng.uniform(lo, hi, count))
+    schedule = None
+    if kind in ("green", "msa", "dynamics"):
+        kw = {"alpha": alpha, "rho": rho, "rho_prime": rho_prime,
+              "s_max": _scalar(sc, "schedule.s_max", int, 1, positive=True)}
+        if mode == "paper":
+            kw["eps0"] = float(_scalar(sc, "schedule.eps0", _NUMBER, eps0,
+                                       positive=True, below=1.0))
+        else:
+            kw["delta0"] = float(_scalar(sc, "schedule.delta0", _NUMBER,
+                                         0.02, positive=True, below=1.0))
+            kw["n0"] = _scalar(sc, "schedule.n0", int, 8, positive=True)
+            kw["g_delta"] = float(_scalar(sc, "schedule.g_delta", _NUMBER,
+                                          3.0))
+            kw["g_n"] = float(_scalar(sc, "schedule.g_n", _NUMBER, 1.5))
         try:
-            start = float(spec["start"])
-            stop = float(spec["stop"])
-            count = int(spec["count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid("range grids need start/stop/count",
-                                field=path) from exc
-        if count < 0:
-            raise ConfigInvalid("count must be non-negative", field=path)
-        if spec.get("log"):
-            if start <= 0 or stop <= 0:
-                raise ConfigInvalid("log grids need positive endpoints",
-                                    field=path)
-            return [float(v) for v in np.geomspace(start, stop, count)]
-        return [float(v) for v in np.linspace(start, stop, count)]
-    raise ConfigInvalid("expected a list or a range object", field=path)
+            schedule = build_schedule(mode, **kw)
+        except (ValueError, ScheduleOverflow) as exc:
+            raise ConfigInvalid(str(exc), field="schedule") from exc
 
+    sweep = _section(raw, "sweep", _SWEEP_KEYS)
+    radius = _scalar(sweep, "sweep.radius", int,
+                     64 if kind in ("msa", "dynamics", "localize") else 16,
+                     positive=True)
+    # msa only assembles sub-boxes of its window; every other kind
+    # assembles the whole window as one dense matrix
+    try:
+        window = box_around(np.zeros(model.dim), radius,
+                            site_cap=DEFAULT_SITE_CAP if kind == "msa"
+                            else DENSE_CAP)
+    except (SizeOverflow, OverflowError) as exc:
+        raise ConfigInvalid(str(exc), field="sweep.radius") from exc
 
-def _radius(cfg: ExperimentConfig, default: int = 16) -> int:
-    r = cfg.sweep.get("radius", default)
-    if not isinstance(r, int) or r < 1:
-        raise ConfigInvalid("radius must be a positive integer",
-                            field="sweep.radius")
-    return r
+    if kind == "verify-lemmas":
+        points = [{}]
+    else:
+        thetas = sorted(_grid(sweep, "theta", seed, 0))
+        if kind in ("dynamics", "localize"):
+            points = [{"theta": t} for t in thetas]
+        else:
+            energies = sorted(_grid(sweep, "energy", seed, 1))
+            points = [{"theta": t, "energy": e}
+                      for t in thetas for e in energies]
 
+    s_target = schedule.s_max if schedule else 1
+    if kind == "msa":
+        s_target = _scalar(sweep, "sweep.s_target", int, s_target,
+                           positive=True)
+        if s_target > schedule.s_max:
+            raise ConfigInvalid("must lie within the schedule depth",
+                                field="sweep.s_target")
+    times = _grid(sweep, "times", seed, 2) if kind == "dynamics" else []
+    if kind == "dynamics" and not times:
+        raise ConfigInvalid("times grid must not be empty",
+                            field="sweep.times")
+    averaged = _scalar(sweep, "sweep.averaged", bool, False)
+    if averaged and min(times, default=1.0) <= 0:
+        raise ConfigInvalid("averaging horizons must be positive",
+                            field="sweep.times")
 
-def build_points(cfg: ExperimentConfig) -> list:
-    """Sweep grid as a sorted list of parameter dicts (the merge order)."""
-    if cfg.kind == "verify-lemmas":
-        return [{}]
-    thetas = _grid(cfg, "theta", substream=0)
-    if cfg.kind in ("dynamics", "localize"):
-        return [{"theta": t} for t in sorted(thetas)]
-    energies = _grid(cfg, "energy", substream=1)
-    return [{"theta": t, "energy": e}
-            for t in sorted(thetas) for e in sorted(energies)]
+    output = _section(raw, "output", _OUTPUT_KEYS)
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return ExperimentConfig(
+        kind, seed, model, hashlib.sha256(canonical.encode()).hexdigest(),
+        points, window, schedule, times=times,
+        p=float(_scalar(sweep, "sweep.p", _NUMBER, 2.0)), averaged=averaged,
+        s_target=s_target,
+        instances=_scalar(sweep, "sweep.instances", int, 200, positive=True),
+        record_timings=_scalar(output, "output.record_timings", bool, False))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +506,9 @@ def _status(n_fail: int, n_rows: int, detail: str = "") -> PointResult:
     return PointResult(status, msg)
 
 
-def _run_assemble(cfg: ExperimentConfig, point: dict, ctx: dict
-                  ) -> PointResult:
-    box = box_around(np.zeros(cfg.model.dim), _radius(cfg))
+def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
     restriction = assemble_restriction(
-        cfg.model, box, PhasePoint(point["theta"]), point["energy"])
+        cfg.model, cfg.window, PhasePoint(point["theta"]), point["energy"])
     dim = cfg.model.dim
     header = tuple(f"n{i}" for i in range(dim)) + ("diag_re", "diag_im")
     table = Table(header)
@@ -480,12 +523,11 @@ def _run_assemble(cfg: ExperimentConfig, point: dict, ctx: dict
     return res
 
 
-def _run_green(cfg: ExperimentConfig, point: dict, ctx: dict) -> PointResult:
+def _run_green(cfg: ExperimentConfig, point: dict) -> PointResult:
     model = cfg.model
-    schedule = ctx["schedule"]
-    delta0 = math.exp(schedule.log_delta[0])
+    delta0 = math.exp(cfg.schedule.log_delta[0])
     theta, energy = point["theta"], point["energy"]
-    box = box_around(np.zeros(model.dim), _radius(cfg))
+    box = cfg.window
     theta0 = solve_phase_for_energy(model.potential, energy)
     phases = theta + box.sites.astype(float) @ model.frequency.array()
     gap = np.minimum(torus_norm(phases - theta0), torus_norm(phases + theta0))
@@ -520,16 +562,9 @@ def _run_green(cfg: ExperimentConfig, point: dict, ctx: dict) -> PointResult:
     return res
 
 
-def _run_msa(cfg: ExperimentConfig, point: dict, ctx: dict) -> PointResult:
-    model = cfg.model
-    schedule = ctx["schedule"]
-    s_target = cfg.sweep.get("s_target", schedule.s_max)
-    if not isinstance(s_target, int) or not 1 <= s_target <= schedule.s_max:
-        raise ConfigInvalid("s_target must lie within the schedule depth",
-                            field="sweep.s_target")
-    box = box_around(np.zeros(model.dim), _radius(cfg, 64))
-    run = run_induction(model, point["theta"], point["energy"], box,
-                        schedule, s_target)
+def _run_msa(cfg: ExperimentConfig, point: dict) -> PointResult:
+    run = run_induction(cfg.model, point["theta"], point["energy"],
+                        cfg.window, cfg.schedule, cfg.s_target)
     table = Table(("s", "case", "shift2", "theta_re", "theta_im",
                    "resonant_sites", "blocks", "pad_realized",
                    "pad_declared", "deviation", "deviation_bound",
@@ -563,32 +598,23 @@ def _run_msa(cfg: ExperimentConfig, point: dict, ctx: dict) -> PointResult:
                            float(dev), float(dev_bound), int(wind),
                            int(det_v), ok))
     res = _status(n_fail, len(table.rows),
-                  f"reached scale {run.depth} of {s_target}"
-                  if run.depth < s_target else "")
+                  f"reached scale {run.depth} of {cfg.s_target}"
+                  if run.depth < cfg.s_target else "")
     res.tables["msa"] = table
     return res
 
 
-def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
-                  ) -> PointResult:
-    model = cfg.model
-    schedule = ctx["schedule"]
-    p = float(_scalar(cfg.sweep, "sweep.p", (int, float), 2.0))
-    averaged = _scalar(cfg.sweep, "sweep.averaged", bool, False)
-    moment = time_avg_moment if averaged else moment_p
-    times = _grid(cfg, "times", substream=2)
-    if not times:
-        raise ConfigInvalid("times grid must not be empty",
-                            field="sweep.times")
-    box = box_around(np.zeros(model.dim), _radius(cfg, 64))
-    ev = eigendata(model, box, point["theta"])
-    delta0 = math.exp(schedule.log_delta[0])
+def _run_dynamics(cfg: ExperimentConfig, point: dict) -> PointResult:
+    model, p = cfg.model, cfg.p
+    moment = time_avg_moment if cfg.averaged else moment_p
+    ev = eigendata(model, cfg.window, point["theta"])
+    delta0 = math.exp(cfg.schedule.log_delta[0])
     beta = model.potential.beta
     t0 = max(1.0 / beta, delta0 ** -3.0)
-    rho_prime = schedule.rho_prime
+    rho_prime = cfg.schedule.rho_prime
     table = Table(("t", "moment", "bound", "boundary_mass", "gated", "pass"))
     n_fail = 0
-    for t in times:
+    for t in cfg.times:
         mv = moment(ev, float(t), p)
         bound = 2.0 ** p * math.exp(
             p * math.log(t) ** (2.0 / (1.0 + rho_prime))) if t > 1 else \
@@ -603,11 +629,9 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict, ctx: dict
     return res
 
 
-def _run_localize(cfg: ExperimentConfig, point: dict, ctx: dict
-                  ) -> PointResult:
+def _run_localize(cfg: ExperimentConfig, point: dict) -> PointResult:
     model = cfg.model
-    box = box_around(np.zeros(model.dim), _radius(cfg, 64))
-    ev = eigendata(model, box, point["theta"])
+    ev = eigendata(model, cfg.window, point["theta"])
     profiles = localization_profile(ev, model.hopping.rho)
     dim = cfg.model.dim
     header = ("eigenvalue",) + tuple(f"c{i}" for i in range(dim)) \
@@ -621,9 +645,9 @@ def _run_localize(cfg: ExperimentConfig, point: dict, ctx: dict
     return res
 
 
-def _suite_rows(cfg: ExperimentConfig, instances: int) -> list:
+def _suite_rows(cfg: ExperimentConfig) -> list:
     """The lemma suites: (name, instances, violations) triples."""
-    model = cfg.model
+    model, instances = cfg.model, cfg.instances
     rho = model.hopping.rho
     rows = []
 
@@ -686,7 +710,7 @@ def _suite_rows(cfg: ExperimentConfig, instances: int) -> list:
     rng = np.random.default_rng([cfg.seed, 15])
     ct_n = max(1, instances // 20)
     bad = 0
-    box = box_around(np.zeros(model.dim), _radius(cfg, 16))
+    box = cfg.window
     for _ in range(ct_n):
         theta = float(rng.uniform(0.0, 1.0))
         restriction = assemble_restriction(model, box, PhasePoint(theta),
@@ -702,15 +726,10 @@ def _suite_rows(cfg: ExperimentConfig, instances: int) -> list:
     return rows
 
 
-def _run_verify(cfg: ExperimentConfig, point: dict, ctx: dict
-                ) -> PointResult:
-    instances = cfg.sweep.get("instances", 200)
-    if not isinstance(instances, int) or instances < 1:
-        raise ConfigInvalid("instances must be a positive integer",
-                            field="sweep.instances")
+def _run_verify(cfg: ExperimentConfig, point: dict) -> PointResult:
     table = Table(("suite", "instances", "violations", "pass"))
     n_fail = 0
-    for name, count, bad in _suite_rows(cfg, instances):
+    for name, count, bad in _suite_rows(cfg):
         ok = bad == 0
         n_fail += 0 if ok else 1
         table.rows.append((name, count, bad, ok))
@@ -740,10 +759,6 @@ class ReportBundle:
     artifacts: dict
 
 
-def _canonical(raw: dict) -> str:
-    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
-
-
 def run(cfg: ExperimentConfig, *, jobs: int = 1,
         fail_fast: bool = False) -> ReportBundle:
     """Execute the sweep and assemble an in-memory bundle.
@@ -754,14 +769,10 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     becomes an ``error`` row unless fail-fast is set.
     """
     t_start = time.monotonic()
-    points = build_points(cfg)
-    ctx: dict = {}
-    if cfg.kind in ("green", "msa", "dynamics"):
-        ctx["schedule"] = _build_schedule(cfg)
-
+    points = cfg.points
     def point(i: int) -> PointResult:
         try:
-            return _HANDLERS[cfg.kind](cfg, points[i], ctx)
+            return _HANDLERS[cfg.kind](cfg, points[i])
         except POINT_ERRORS as exc:
             if fail_fast:
                 raise
@@ -783,19 +794,15 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
             name = f"{base}_{i:03d}"
             artifacts[name] = table
             names.append(name)
-        entry = {"point": i, "status": res.status, "detail": res.detail,
-                 "artifacts": names}
-        for key in ("theta", "energy"):
-            if key in points[i]:
-                entry[key] = points[i][key]
-        summary.append(entry)
+        summary.append({"point": i, "status": res.status,
+                        "detail": res.detail, "artifacts": names,
+                        **points[i]})
 
     manifest = {
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "version": _version(),
-        "config_sha256": hashlib.sha256(
-            _canonical(cfg.raw).encode()).hexdigest(),
+        "version": __version__,
+        "config_sha256": cfg.config_sha256,
         "points": len(points),
         "counts": counts,
         "artifact_files": sorted(artifacts),
@@ -805,14 +812,9 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     return ReportBundle(manifest, summary, artifacts)
 
 
-def passed(bundle: ReportBundle) -> bool:
-    return all(e["status"] in ("pass", "skip") for e in bundle.summary)
-
-
 def exit_code(bundle: ReportBundle) -> int:
-    if any(e["status"] == "error" for e in bundle.summary):
-        return 2
-    return 0 if passed(bundle) else 1
+    statuses = {e["status"] for e in bundle.summary}
+    return 2 if "error" in statuses else int("fail" in statuses)
 
 
 # ---------------------------------------------------------------------------
@@ -950,19 +952,17 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigInvalid(f"config is not valid JSON: {exc}"
                                     ) from exc
-        raw.setdefault("kind", args.command)
-        if raw["kind"] != args.command:
-            raise ConfigInvalid(
-                f"config kind {raw['kind']!r} does not match subcommand "
-                f"{args.command!r}", field="kind")
+        if isinstance(raw, dict):
+            raw.setdefault("kind", args.command)
         cfg = parse_config(raw)
+        if cfg.kind != args.command:
+            raise ConfigInvalid(
+                f"config kind {cfg.kind!r} does not match subcommand "
+                f"{args.command!r}", field="kind")
         if args.jobs < 1:
             raise ConfigInvalid("--jobs must be at least 1")
         bundle = run(cfg, jobs=args.jobs, fail_fast=args.fail_fast)
         emit(bundle, args.out, args.format)
-    except (ConfigInvalid, IoFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except POINT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -118,17 +118,21 @@ def _abel_probabilities(ev: EvolutionData, horizon: float,
     ``idx`` (all sites by default).
 
     Exact: each oscillating pair ``exp(-i (w_j - w_k) t)`` averages to
-    ``1/(1 + i (w_j - w_k) T/2)``, so with ``b = V diag(weights0)`` the
-    average is ``Re sum_jk b_nj K_jk conj(b_nk)``, one matrix product over
-    the requested rows of ``b``.
+    ``K_jk = 1/(1 + i x_jk)`` with ``x_jk = (w_j - w_k) T/2``, so with
+    ``b = V diag(weights0)`` the average is ``Re sum_jk b_nj K_jk
+    conj(b_nk)``, one matrix product over the requested rows of ``b``.
+    For real ``b`` only ``Re K = 1/(1 + x^2)`` survives, and the product
+    runs in real arithmetic.
     """
     big_t = float(horizon)
     if big_t <= 0:
         raise ValueError("averaging horizon must be positive")
     b = ev.eigvecs[idx] * ev.weights0[None, :]
-    kern = 1.0 / (1.0 + 0.5j * (ev.eigvals[:, None] - ev.eigvals[None, :])
-                  * big_t)
-    return np.real(np.sum(b * (b.conj() @ kern.T), axis=1))
+    x = 0.5 * big_t * (ev.eigvals[:, None] - ev.eigvals[None, :])
+    if np.isrealobj(b):
+        return np.sum(b * (b @ (1.0 / (1.0 + x * x))), axis=1)
+    return np.real(np.sum(b * (b.conj() @ (1.0 / (1.0 + 1j * x)).T),
+                          axis=1))
 
 
 @dataclass(frozen=True)

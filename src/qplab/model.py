@@ -41,10 +41,6 @@ def log_decay_envelope(alpha: float, rho: float, dist) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def decay_envelope(alpha: float, rho: float, dist) -> np.ndarray:
-    return np.exp(log_decay_envelope(alpha, rho, dist))
-
-
 # ---------------------------------------------------------------------------
 # potential
 

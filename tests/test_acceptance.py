@@ -639,6 +639,8 @@ def test_criterion_11_determinism(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "qplab.cli", *args],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+        # the package must not import qplab.cli before runpy executes it
+        assert "RuntimeWarning" not in proc.stderr
         return proc
 
     out_a = tmp_path / "lemmas-a"

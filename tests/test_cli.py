@@ -3,19 +3,22 @@
 import functools
 import json
 import os
+import reprlib
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import qplab
 import qplab.dynamics
 import qplab.greens
 from qplab import cli
 from qplab.cli import (
-    _grid,
-    _radius,
-    build_points,
+    KINDS,
     cache_key,
     default_config,
     eigendata,
@@ -25,7 +28,7 @@ from qplab.cli import (
     parse_config,
     run,
 )
-from qplab.errors import BoxTooLarge, ConfigInvalid
+from qplab.errors import ConfigInvalid, QplabError
 from qplab.greens import combes_thomas_check
 from qplab.lattice import box_around
 from qplab.model import PhasePoint, assemble_restriction, spectrum_bounds
@@ -106,16 +109,23 @@ def test_parse_config_builds_model():
 # grids and points
 
 
+def _thetas(cfg):
+    return [pt["theta"] for pt in cfg.points]
+
+
 def test_grid_forms():
     cfg = parse_config(make_raw("green", {
         "radius": 8,
         "theta": {"start": 0.1, "stop": 0.4, "count": 4},
         "energy": [0.0, 0.5],
+    }))
+    assert sorted(set(_thetas(cfg))) == pytest.approx([0.1, 0.2, 0.3, 0.4])
+    assert sorted({pt["energy"] for pt in cfg.points}) == [0.0, 0.5]
+    dyn = parse_config(make_raw("dynamics", {
+        "radius": 8, "theta": [0.1],
         "times": {"start": 1.0, "stop": 100.0, "count": 3, "log": True},
     }))
-    assert _grid(cfg, "theta") == pytest.approx([0.1, 0.2, 0.3, 0.4])
-    assert _grid(cfg, "energy") == [0.0, 0.5]
-    assert _grid(cfg, "times") == pytest.approx([1.0, 10.0, 100.0])
+    assert dyn.times == pytest.approx([1.0, 10.0, 100.0])
 
 
 def test_grid_random_is_reproducible():
@@ -123,62 +133,65 @@ def test_grid_random_is_reproducible():
                              "theta": {"random": 5, "low": 0.2,
                                        "high": 0.9},
                              "energy": [0.0]})
-    a = _grid(parse_config(raw), "theta")
-    b = _grid(parse_config(raw), "theta")
+    a = _thetas(parse_config(raw))
+    b = _thetas(parse_config(raw))
     assert a == b
     assert a == sorted(a)
     assert all(0.2 <= v <= 0.9 for v in a)
     raw["seed"] = 7
-    assert _grid(parse_config(raw), "theta") != a
+    assert _thetas(parse_config(raw)) != a
     # substreams keep theta and energy draws independent
     raw["sweep"]["energy"] = {"random": 5, "low": 0.2, "high": 0.9}
     cfg = parse_config(raw)
-    assert _grid(cfg, "theta", substream=0) != \
-        _grid(cfg, "energy", substream=1)
+    assert sorted(set(_thetas(cfg))) != \
+        sorted({pt["energy"] for pt in cfg.points})
 
 
 def test_grid_rejections():
-    cfg = parse_config(make_raw("green", {"radius": 8, "energy": [0.0]}))
-    with pytest.raises(ConfigInvalid, match="missing required grid"):
-        _grid(cfg, "theta")
+    with pytest.raises(ConfigInvalid, match="missing required grid") as exc:
+        parse_config(make_raw("green", {"radius": 8, "energy": [0.0]}))
+    assert exc.value.field == "sweep.theta"
     bad = [
-        {"theta": [0.1, "x"]},
-        {"theta": {"start": 0.0, "stop": 1.0}},
-        {"theta": {"start": 0.0, "stop": 1.0, "count": -2}},
-        {"theta": {"start": 0.0, "stop": 1.0, "count": 3, "log": True}},
-        {"theta": {"random": -1}},
-        {"theta": "dense"},
+        ({"theta": [0.1, "x"]}, "sweep.theta.1"),
+        ({"theta": {"start": 0.0, "stop": 1.0}}, "sweep.theta.count"),
+        ({"theta": {"start": 0.0, "stop": 1.0, "count": -2}},
+         "sweep.theta.count"),
+        ({"theta": {"start": 0.0, "stop": 1.0, "count": 3, "log": True}},
+         "sweep.theta"),
+        ({"theta": {"random": -1}}, "sweep.theta.random"),
+        ({"theta": "dense"}, "sweep.theta"),
     ]
-    for sweep in bad:
+    for sweep, path in bad:
         sweep = {"radius": 8, "energy": [0.0], **sweep}
-        with pytest.raises(ConfigInvalid):
-            _grid(parse_config(make_raw("green", sweep)), "theta")
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(make_raw("green", sweep))
+        assert exc.value.field == path
 
 
 def test_radius_validation():
     cfg = parse_config(make_raw("green",
                                 {"radius": 8, "theta": [0.0],
                                  "energy": [0.0]}))
-    assert _radius(cfg) == 8
+    assert cfg.window.radius == 8
     for r in (0, -3, 2.5):
-        bad = parse_config(make_raw("green", {"radius": r, "theta": [0.0],
-                                              "energy": [0.0]}))
-        with pytest.raises(ConfigInvalid, match="radius"):
-            _radius(bad)
+        with pytest.raises(ConfigInvalid, match="radius") as exc:
+            parse_config(make_raw("green", {"radius": r, "theta": [0.0],
+                                            "energy": [0.0]}))
+        assert exc.value.field == "sweep.radius"
 
 
 def test_build_points_ordering():
     cfg = parse_config(make_raw("green", {"radius": 8,
                                           "theta": [0.3, 0.1],
                                           "energy": [0.5, -0.5]}))
-    assert build_points(cfg) == [
+    assert cfg.points == [
         {"theta": 0.1, "energy": -0.5}, {"theta": 0.1, "energy": 0.5},
         {"theta": 0.3, "energy": -0.5}, {"theta": 0.3, "energy": 0.5}]
     dyn = parse_config(make_raw("dynamics", {"radius": 8,
                                              "theta": [0.3, 0.1],
                                              "times": [2.0]}))
-    assert build_points(dyn) == [{"theta": 0.1}, {"theta": 0.3}]
-    assert build_points(parse_config(default_config())) == [{}]
+    assert dyn.points == [{"theta": 0.1}, {"theta": 0.3}]
+    assert parse_config(default_config()).points == [{}]
 
 
 def test_empty_grid_is_an_empty_sweep():
@@ -407,18 +420,36 @@ def test_linalg_and_memory_errors_become_error_rows(
                      "--out", str(tmp_path / "out")] + flags) == 2
 
 
-def test_error_rows_and_fail_fast():
-    # a radius-30000 dynamics window would need about 58 GB as a dense matrix
+def test_error_rows_and_fail_fast(monkeypatch):
+    # a radius-30000 dynamics window would need about 58 GB as a dense
+    # matrix: it is refused before any point runs
     for raw in (make_raw("assemble", {"radius": 3000, "theta": [0.1],
                                       "energy": [0.0]}),
                 make_raw("dynamics", {"radius": 30000, "theta": [0.1],
                                       "times": [1.0]})):
-        bundle = run(parse_config(raw))
-        assert [e["status"] for e in bundle.summary] == ["error"]
-        assert "BoxTooLarge" in bundle.summary[0]["detail"]
-        assert exit_code(bundle) == 2
-        with pytest.raises(BoxTooLarge):
-            run(parse_config(raw), fail_fast=True)
+        with pytest.raises(ConfigInvalid, match="cap") as exc:
+            parse_config(raw)
+        assert exc.value.field == "sweep.radius"
+
+    # a runtime failure ends its own point only, or the sweep under
+    # fail-fast
+    assemble = cli.assemble_restriction
+
+    def planted(model, box, theta, energy):
+        if theta.theta.real > 0.15:
+            raise QplabError("planted failure")
+        return assemble(model, box, theta, energy)
+
+    monkeypatch.setattr(cli, "assemble_restriction", planted)
+    cfg = parse_config(make_raw("assemble", {"radius": 8,
+                                             "theta": [0.1, 0.2],
+                                             "energy": [0.0]}))
+    bundle = run(cfg)
+    assert [e["status"] for e in bundle.summary] == ["pass", "error"]
+    assert bundle.summary[1]["detail"] == "QplabError: planted failure"
+    assert exit_code(bundle) == 2
+    with pytest.raises(QplabError, match="planted failure"):
+        run(cfg, fail_fast=True)
 
 
 def test_msa_sweep_guards_target_depth():
@@ -426,7 +457,7 @@ def test_msa_sweep_guards_target_depth():
                            "energy": [0.3], "s_target": 3},
                    schedule={"delta0": 1e-6})
     with pytest.raises(ConfigInvalid, match="s_target"):
-        run(parse_config(raw), fail_fast=True)
+        parse_config(raw)
 
 
 def test_msa_sweep_reports_reached_depth():
@@ -448,7 +479,7 @@ def test_dynamics_sweep_shares_eigendecompositions(tmp_path):
     assert "cache" not in bundle.manifest
     raw_no_times = make_raw("dynamics", {"radius": 16, "theta": [0.1]})
     with pytest.raises(ConfigInvalid, match="missing required grid"):
-        run(parse_config(raw_no_times), fail_fast=True)
+        parse_config(raw_no_times)
 
 
 def test_dynamics_sweep_averaged_moments():
@@ -462,8 +493,7 @@ def test_dynamics_sweep_averaged_moments():
         moments[averaged] = row[1]
     assert moments[True] != pytest.approx(moments[False], rel=1e-6)
     with pytest.raises(ConfigInvalid) as exc:
-        run(parse_config(make_raw("dynamics", dict(sweep, averaged=1))),
-            fail_fast=True)
+        parse_config(make_raw("dynamics", dict(sweep, averaged=1)))
     assert exc.value.field == "sweep.averaged"
 
 
@@ -508,6 +538,7 @@ def test_emit_layout_and_headers(tmp_path):
                                   "error": 0}
     assert manifest["artifact_files"] == ["green_000"]
     assert manifest["timings"] is None
+    assert manifest["version"] == qplab.__version__
     # staging directories must not survive the rename
     assert not [d for d in os.listdir(tmp_path) if d.startswith(".qplab")]
 
@@ -614,8 +645,8 @@ def test_main_rejects_bad_inputs(tmp_path, capsys):
                      "p": "abc"})))
     assert main(["dynamics", "--config", str(bad_p),
                  "--out", str(tmp_path / "out-p")]) == 2
-    summary = json.loads((tmp_path / "out-p" / "summary.json").read_text())
-    assert "ConfigInvalid: sweep.p" in summary[0]["detail"]
+    assert "sweep.p" in capsys.readouterr().err
+    assert not (tmp_path / "out-p").exists()
 
 
 def test_main_propagates_violation_exit(tmp_path, capsys):
@@ -626,3 +657,152 @@ def test_main_propagates_violation_exit(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "1 fail" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# config checking: every bad field ends before any point runs
+
+
+def _small_config(kind, radius=8, thetas=(0.113,), instances=20):
+    raw = default_config(kind)
+    raw["sweep"] = {"radius": radius, "theta": list(thetas),
+                    "energy": [0.3], "instances": instances}
+    if kind == "dynamics":
+        raw["sweep"]["times"] = [2.0]
+    return raw
+
+
+_ABSENT = object()
+
+BAD_FIELDS = [
+    ("dynamics", "sweep.p", "abc", "sweep.p"),
+    ("dynamics", "sweep.averaged", 1, "sweep.averaged"),
+    ("dynamics", "sweep.times", _ABSENT, "sweep.times"),
+    ("dynamics", "sweep.times", [], "sweep.times"),
+    ("dynamics", "sweep.radius", 0, "sweep.radius"),
+    ("green", "sweep.radius", 2.5, "sweep.radius"),
+    ("green", "sweep.radius", True, "sweep.radius"),
+    ("green", "sweep.theta", "dense", "sweep.theta"),
+    ("green", "sweep.theta", {"random": 3, "low": "abc"}, "sweep.theta.low"),
+    ("green", "sweep.theta", {"start": 0.1, "stop": 0.2, "count": 2.7},
+     "sweep.theta.count"),
+    ("green", "schedule.delta0", 2.0, "schedule.delta0"),
+    ("assemble", "sweep.radius", 3000, "sweep.radius"),
+    ("msa", "sweep.s_target", 3, "sweep.s_target"),
+    ("verify-lemmas", "sweep.instances", 0, "sweep.instances"),
+    ("verify-lemmas", "sweep.instances", True, "sweep.instances"),
+    ("localize", "sweep.radius", 10 ** 400, "sweep.radius"),
+    ("green", "model.omega", [True], "model.omega"),
+    ("green", "model.rho", 0.5, "model"),
+    ("green", "seed", -1, "seed"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, field", [
+    pytest.param(*case, id=f"{case[0]}:{case[1]}="
+                 + ("absent" if case[2] is _ABSENT else reprlib.repr(case[2])))
+    for case in BAD_FIELDS])
+def test_bad_field_is_refused_before_any_point(tmp_path, capsys, kind, path,
+                                               value, field):
+    raw = _small_config(kind)
+    *sections, name = path.split(".")
+    sec = raw[sections[0]] if sections else raw
+    if value is _ABSENT:
+        del sec[name]
+    else:
+        sec[name] = value
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(raw)
+    assert exc.value.field == field
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_averaged_needs_positive_horizons():
+    raw = make_raw("dynamics", {"radius": 8, "theta": [0.1],
+                                "times": [0.0, 2.0], "averaged": True})
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(raw)
+    assert exc.value.field == "sweep.times"
+    raw["sweep"]["averaged"] = False
+    assert parse_config(raw).times == [0.0, 2.0]
+
+
+def test_main_refuses_non_object_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    out = tmp_path / "out"
+    assert main(["green", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the sweep fields each kind reads
+READS = {
+    "assemble": ("radius", "theta", "energy"),
+    "green": ("radius", "theta", "energy"),
+    "msa": ("radius", "theta", "energy", "s_target"),
+    "dynamics": ("radius", "theta", "times", "p", "averaged"),
+    "localize": ("radius", "theta"),
+    "verify-lemmas": ("radius", "instances"),
+}
+
+_NAN = float("nan")
+_WRONG_TYPE = st.one_of(st.text(max_size=3), st.none(),
+                        st.dictionaries(st.text(max_size=2), st.integers(),
+                                        max_size=1))
+_BAD_COUNT = st.one_of(st.booleans(), st.integers(max_value=-1), st.floats())
+_BAD_GRID = st.one_of(
+    st.text(max_size=3), st.none(), st.booleans(), st.floats(),
+    st.lists(st.sampled_from([True, _NAN, "x"]), min_size=1, max_size=2),
+    st.builds(lambda c: {"start": 0.1, "stop": 0.2, "count": c}, _BAD_COUNT),
+    st.builds(lambda c: {"random": c}, _BAD_COUNT),
+    st.builds(lambda v: {"random": 2, "low": v},
+              st.one_of(st.text(max_size=3), st.booleans(), st.just(_NAN))))
+MUTATIONS = {
+    "radius": st.one_of(_WRONG_TYPE, st.booleans(), st.integers(max_value=0),
+                        st.floats()),
+    "theta": _BAD_GRID,
+    "energy": _BAD_GRID,
+    "times": _BAD_GRID,
+    "p": st.one_of(_WRONG_TYPE, st.booleans(), st.just(_NAN),
+                   st.just(float("inf"))),
+    "averaged": st.one_of(_WRONG_TYPE, st.integers(), st.floats()),
+}
+MUTATIONS["s_target"] = MUTATIONS["instances"] = MUTATIONS["radius"]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz(capsys, data):
+    """One bad sweep field exits 2 naming it and writes nothing; an
+    unmutated small config runs."""
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    raw = _small_config(
+        kind, data.draw(st.integers(1, 8), label="radius"),
+        data.draw(st.lists(st.sampled_from([0.113, 0.3, 0.7]), min_size=1,
+                           max_size=2, unique=True), label="thetas"),
+        data.draw(st.integers(1, 20), label="instances"))
+    name = data.draw(st.none() | st.sampled_from(READS[kind]),
+                     label="field")
+    if name is not None:
+        raw["sweep"][name] = data.draw(MUTATIONS[name], label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        rc = main([kind, "--config", cfg_path, "--out", out])
+        err = capsys.readouterr().err
+        if name is None:
+            assert rc in (0, 1), err
+            assert os.path.isdir(out)
+        else:
+            assert rc == 2
+            assert f"sweep.{name}" in err
+            assert not os.path.exists(out)

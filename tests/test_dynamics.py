@@ -10,6 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from qplab import (
     FrequencyVector,
+    HoppingKernel,
     ModelSpec,
     box_around,
     build_schedule,
@@ -141,15 +142,31 @@ def _time_avg_by_resolvent(model, ev, theta, horizon, p):
     return total / (math.pi * horizon)
 
 
-@pytest.mark.parametrize("horizon", [1.0, 20.0, 125.0, 1000.0])
-@pytest.mark.parametrize("theta", [0.113, 0.3])
-@pytest.mark.parametrize("radius", [6, 8])
-def test_time_average_matches_resolvent_oracle(weak_model, radius, theta,
-                                               horizon):
-    ev = evolve_amplitudes(weak_model, box_around(np.zeros(1), radius),
-                           theta)
+def _twisted_model(model):
+    """``model`` with the complex Hermitian kernel
+    ``phi(n) = env(n) exp(i pi sign(n) / 3)``.  Its phase is not linear in
+    ``n``, so no diagonal gauge makes the operator real."""
+    def fn(diffs):
+        return model.hopping.fn(diffs) * np.exp(
+            1j * np.pi / 3.0 * np.sign(diffs[:, 0]))
+
+    kernel = HoppingKernel.from_callable(model.hopping.alpha,
+                                         model.hopping.rho, fn)
+    return ModelSpec(model.potential, kernel, model.frequency, model.eps)
+
+
+@pytest.mark.parametrize("twisted, radius, theta, horizon", [
+    pytest.param(False, r, th, h, id=f"{r}-{th}-{h}")
+    for r in (6, 8) for th in (0.113, 0.3)
+    for h in (1.0, 20.0, 125.0, 1000.0)
+] + [pytest.param(True, 6, 0.113, 125.0, id="complex-kernel")])
+def test_time_average_matches_resolvent_oracle(weak_model, twisted, radius,
+                                               theta, horizon):
+    model = _twisted_model(weak_model) if twisted else weak_model
+    ev = evolve_amplitudes(model, box_around(np.zeros(1), radius), theta)
+    assert np.iscomplexobj(ev.eigvecs) == twisted
     got = time_avg_moment(ev, horizon, 2.0).value
-    want = _time_avg_by_resolvent(weak_model, ev, theta, horizon, 2.0)
+    want = _time_avg_by_resolvent(model, ev, theta, horizon, 2.0)
     assert got == pytest.approx(want, rel=1e-10)
     assert got - 1.0 == pytest.approx(want - 1.0, rel=1e-6)
 
