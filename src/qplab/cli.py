@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -65,6 +66,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -93,6 +95,7 @@ from .greens import (
     det_perturbation_check,
     green_solve,
     hadamard_adjugate_check,
+    hermitian_eigenvalues,
     sandwich_check,
     schur_complement,
 )
@@ -523,43 +526,96 @@ def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
     return res
 
 
-def _run_green(cfg: ExperimentConfig, point: dict) -> PointResult:
-    model = cfg.model
-    delta0 = math.exp(cfg.schedule.log_delta[0])
-    theta, energy = point["theta"], point["energy"]
-    box = cfg.window
-    theta0 = solve_phase_for_energy(model.potential, energy)
-    phases = theta + box.sites.astype(float) @ model.frequency.array()
-    gap = np.minimum(torus_norm(phases - theta0), torus_norm(phases + theta0))
-    if float(np.min(gap)) < delta0:
-        return PointResult(
-            "skip", f"window is not 0-good at theta = {theta:.6g} "
-            f"(phase gap {float(np.min(gap)):.3e} < delta0 {delta0:.3e})")
+class _GreenSweep:
+    """The points of one green sweep and the data they share.
 
-    restriction = assemble_restriction(model, box, PhasePoint(theta), energy)
-    g = green_solve(restriction.matrix)
-    dist = pairwise_sup_dist(box.sites.astype(float)).astype(np.int64)
-    # largest |G| at each distance; -inf marks a distance no pair realizes
-    peak = np.full(int(dist.max()) + 1, -np.inf)
-    np.maximum.at(peak, dist.ravel(), np.abs(g.matrix).ravel())
-    alpha, rho = model.hopping.alpha, model.hopping.rho
-    kappa1 = model.potential.kappa1
-    table = Table(("dist", "modulus", "bound", "pass"))
-    n_fail = 0
-    norm_bound = 2.0 / (kappa1 * delta0 ** 2)
-    for r in np.flatnonzero(np.isfinite(peak)):
-        if r == 0:
-            bound = norm_bound
-            modulus = float(g.op_norm)
-        else:
-            bound = math.exp(-0.75 * alpha * math.log1p(r) ** rho)
-            modulus = float(peak[r])
-        ok = modulus <= bound * (1.0 + 1e-9)
-        n_fail += 0 if ok else 1
-        table.rows.append((int(r), modulus, bound, ok))
-    res = _status(n_fail, len(table.rows))
-    res.tables["green"] = table
-    return res
+    The window's sup-distance classes are built once, by the first point
+    that solves.  ``H(theta)`` at E = 0 and its spectrum depend on the
+    phase only, and the points of a phase are adjacent (points are sorted),
+    so the latest phase's ``H`` and ``eigvalsh`` are kept for the next
+    energy; None marks an ``H`` that is not exactly Hermitian, whose points
+    take the SVD in ``green_solve``.  Each energy inverts a copy of ``H``
+    with E subtracted on the diagonal: the diagonal of a fresh assembly is
+    ``(eps W_nn + v) - E`` in that order, so the bits are the same.
+    An instance lives for one ``run()`` call.  A step that raises stores
+    nothing, so the next point tries it again; under ``--jobs`` two points
+    of one phase may both compute it, with identical results.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._lock = threading.Lock()
+        self._classes = None
+        self._phase = None  # (theta, H, eigenvalues or None)
+
+    def _distance_classes(self) -> tuple:
+        """``(order, starts, radii)``: ``order`` lists the flat pair indices
+        by sup-distance, class ``k`` at distance ``radii[k]`` starts at
+        ``starts[k]``."""
+        with self._lock:
+            if self._classes is None:
+                dist = pairwise_sup_dist(self.cfg.window.sites)
+                dist = dist.astype(np.int64).ravel()
+                # int32 indices: the dense cap keeps n^2 below 2^31
+                order = np.argsort(dist, kind="stable").astype(np.int32)
+                dist = dist[order]
+                starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
+                self._classes = (order, starts, dist[starts])
+            return self._classes
+
+    def _hamiltonian(self, theta: float) -> tuple:
+        phase = self._phase
+        if phase is None or phase[0] != theta:
+            h = assemble_restriction(self.cfg.model, self.cfg.window,
+                                     PhasePoint(theta), 0.0).matrix
+            phase = (theta, h, hermitian_eigenvalues(h))
+            self._phase = phase
+        return phase[1:]
+
+    def __call__(self, point: dict) -> PointResult:
+        model = self.cfg.model
+        delta0 = math.exp(self.cfg.schedule.log_delta[0])
+        theta, energy = point["theta"], point["energy"]
+        sites = self.cfg.window.sites
+        theta0 = solve_phase_for_energy(model.potential, energy)
+        phases = theta + sites.astype(float) @ model.frequency.array()
+        gap = np.minimum(torus_norm(phases - theta0),
+                         torus_norm(phases + theta0))
+        if float(np.min(gap)) < delta0:
+            return PointResult(
+                "skip", f"window is not 0-good at theta = {theta:.6g} "
+                f"(phase gap {float(np.min(gap)):.3e} < delta0 "
+                f"{delta0:.3e})")
+
+        order, starts, radii = self._distance_classes()
+        h, lam = self._hamiltonian(theta)
+        t = h.copy()
+        np.fill_diagonal(t, h.diagonal() - energy)
+        g = green_solve(t, None if lam is None else lam - energy)
+        del t  # freed before the gather below allocates its n^2 floats
+        # largest |G| in each distance class; the classes are symmetric
+        # sets of pairs, so G's memory order ("K") reads the same maxima
+        peak = g.matrix.ravel(order="K")[order]
+        np.abs(peak, out=peak)
+        peak = np.maximum.reduceat(peak, starts)
+        alpha, rho = model.hopping.alpha, model.hopping.rho
+        kappa1 = model.potential.kappa1
+        table = Table(("dist", "modulus", "bound", "pass"))
+        n_fail = 0
+        norm_bound = 2.0 / (kappa1 * delta0 ** 2)
+        for r, top in zip(radii.tolist(), peak.tolist()):
+            if r == 0:
+                bound = norm_bound
+                modulus = float(g.op_norm)
+            else:
+                bound = math.exp(-0.75 * alpha * math.log1p(r) ** rho)
+                modulus = top
+            ok = modulus <= bound * (1.0 + 1e-9)
+            n_fail += 0 if ok else 1
+            table.rows.append((int(r), modulus, bound, ok))
+        res = _status(n_fail, len(table.rows))
+        res.tables["green"] = table
+        return res
 
 
 def _run_msa(cfg: ExperimentConfig, point: dict) -> PointResult:
@@ -740,7 +796,6 @@ def _run_verify(cfg: ExperimentConfig, point: dict) -> PointResult:
 
 _HANDLERS = {
     "assemble": _run_assemble,
-    "green": _run_green,
     "msa": _run_msa,
     "dynamics": _run_dynamics,
     "localize": _run_localize,
@@ -770,9 +825,13 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     """
     t_start = time.monotonic()
     points = cfg.points
+    # a green sweep's shared data lives exactly as long as this call
+    handler = (_GreenSweep(cfg) if cfg.kind == "green"
+               else functools.partial(_HANDLERS[cfg.kind], cfg))
+
     def point(i: int) -> PointResult:
         try:
-            return _HANDLERS[cfg.kind](cfg, points[i])
+            return handler(points[i])
         except POINT_ERRORS as exc:
             if fail_fast:
                 raise

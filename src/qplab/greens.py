@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import (
     ASingular,
@@ -57,17 +57,33 @@ class GreenMatrix:
     pivot_min: float
 
 
-def green_solve(t: np.ndarray) -> GreenMatrix:
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of ``h`` if it equals its conjugate transpose exactly.
+
+    ``eigvalsh`` reads one triangle only, which is why the test is exact;
+    any other ``h`` gives None.
+    """
+    h = np.asarray(h)
+    if not np.array_equal(h, h.T if np.isrealobj(h) else h.conj().T):
+        return None
+    return np.linalg.eigvalsh(h)
+
+
+def green_solve(t: np.ndarray, eigenvalues=None) -> GreenMatrix:
     """Invert a dense restriction, refusing numerically singular input.
 
     Raises Singular when an LU pivot falls below ``PIVOT_RTOL`` times the
     largest entry, or when the identity residual of the computed inverse
-    exceeds the conditioning-aware tolerance.  ``op_norm`` is the exact
-    ``||T^{-1}|| = 1 / sigma_min(T)``, taken before the inverse exists so
-    that the peak memory stays at that of the LU.  For a real, exactly
-    symmetric ``T`` the singular values are the moduli of the eigenvalues,
-    so ``eigvalsh`` replaces the SVD; ``eigvalsh`` reads one triangle only,
-    which is why the symmetry test is exact.
+    exceeds the conditioning-aware tolerance.  The inverse is formed in
+    place from the checked LU (LAPACK ``getri``), so the peak memory is
+    that of ``t``, its LU and the residual product.
+
+    ``op_norm`` is the exact ``||T^{-1}|| = 1 / sigma_min(T)``.  For a
+    normal ``T`` the singular values are the moduli of its eigenvalues:
+    pass them as ``eigenvalues`` when they are known (the green sweep
+    shifts one spectrum of ``H(theta)`` by each energy), or let an exactly
+    Hermitian ``T`` get them from ``hermitian_eigenvalues``.  Any other
+    ``T`` takes the SVD.
     """
     t = np.asarray(t)
     n = t.shape[0]
@@ -76,8 +92,10 @@ def green_solve(t: np.ndarray) -> GreenMatrix:
     scale = float(np.max(np.abs(t)))
     if not np.isfinite(scale) or scale == 0.0:
         raise Singular("matrix entries are zero or non-finite")
-    if np.isrealobj(t) and np.array_equal(t, t.T):
-        sigma_min = float(np.min(np.abs(np.linalg.eigvalsh(t))))
+    if eigenvalues is None:
+        eigenvalues = hermitian_eigenvalues(t)
+    if eigenvalues is not None:
+        sigma_min = float(np.min(np.abs(eigenvalues)))
     else:
         sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
     lu, piv = lu_factor(t)
@@ -85,8 +103,11 @@ def green_solve(t: np.ndarray) -> GreenMatrix:
     if not np.isfinite(pivot_min) or pivot_min < PIVOT_RTOL * scale:
         raise Singular(
             f"pivot {pivot_min:.3e} below threshold {PIVOT_RTOL * scale:.3e}")
-    g = lu_solve((lu, piv), np.eye(n, dtype=t.dtype), overwrite_b=True)
-    del lu  # freed before the residual product allocates its n x n
+    getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (lu,))
+    lwork, _ = getri_lwork(n)
+    g, info = getri(lu, piv, lwork=int(np.real(lwork)), overwrite_lu=True)
+    if info != 0:
+        raise Singular(f"getri failed (info {info})")
     r = t @ g
     r[np.diag_indices(n)] -= 1.0
     residual = float(np.linalg.norm(r))

@@ -30,7 +30,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     NonConvergence,
@@ -311,6 +310,10 @@ def kernel_sum(eta: float, rho: float, dim: int, cutoff: int) -> KernelSum:
         if slope <= 1.0:
             raise TailNotSmall(
                 "cutoff too small: shell majorant not yet decreasing")
+
+    # imported here: scipy.integrate costs about 0.3 s and 23 MB to load,
+    # and nothing else in qplab needs it
+    from scipy.integrate import quad
 
     tail_val, tail_err = quad(majorant, cutoff, np.inf, limit=200)
     tail_bound = float(tail_val + abs(tail_err))

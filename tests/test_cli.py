@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import reprlib
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -29,7 +30,7 @@ from qplab.cli import (
     run,
 )
 from qplab.errors import ConfigInvalid, QplabError
-from qplab.greens import combes_thomas_check
+from qplab.greens import combes_thomas_check, green_solve
 from qplab.lattice import box_around
 from qplab.model import PhasePoint, assemble_restriction, spectrum_bounds
 
@@ -45,6 +46,8 @@ def make_raw(kind, sweep, model=None, schedule=None):
 
 
 GREEN_PASS = {"radius": 8, "theta": [0.0], "energy": [0.3]}
+# two phases, each 0-good at both energies: four solved points
+GREEN_SHARED = {"radius": 8, "theta": [0.0, 0.38], "energy": [0.3, 0.4]}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +392,56 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
     assert {dtype for _, _, dtype in dense_calls} == {np.dtype(np.float64)}
 
 
+def test_green_sweep_shares_one_spectrum_per_phase(dense_calls):
+    cfg = parse_config(make_raw("green", GREEN_SHARED))
+    for _ in range(2):
+        # each run computes its own spectra: nothing outlives run()
+        dense_calls.clear()
+        bundle = run(cfg)
+        assert [e["status"] for e in bundle.summary] == ["pass"] * 4
+        eigvalsh = [c for c in dense_calls
+                    if c[:2] == ("qplab.greens", "eigvalsh")]
+        assert len(eigvalsh) == 2
+    for entry in bundle.summary:
+        rest = assemble_restriction(cfg.model, cfg.window,
+                                    PhasePoint(entry["theta"]),
+                                    entry["energy"])
+        (row0,) = [row for row in bundle.artifacts[entry["artifacts"][0]].rows
+                   if row[0] == 0]
+        assert row0[1] == pytest.approx(green_solve(rest.matrix).op_norm,
+                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("owner, name, n_calls", [
+    (cli, "pairwise_sup_dist", 2),  # once per sweep, plus the retry
+    (np.linalg, "eigvalsh", 3),     # once per phase, plus the retry
+], ids=["window", "spectrum"])
+def test_green_sweep_caches_no_failure(monkeypatch, owner, name, n_calls):
+    real = getattr(owner, name)
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise MemoryError("planted failure")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, fail_once)
+    bundle = run(parse_config(make_raw("green", GREEN_SHARED)))
+    # the failed step is retried by the next point of the same phase
+    assert [e["status"] for e in bundle.summary] == \
+        ["error", "pass", "pass", "pass"]
+    assert len(calls) == n_calls
+
+
+def test_import_leaves_out_scipy_integrate():
+    """Only ``lattice.kernel_sum`` needs scipy.integrate, which costs about
+    0.3 s and 23 MB to import; no CLI kind loads it."""
+    subprocess.run([sys.executable, "-c",
+                    "import qplab.cli, sys; "
+                    "assert 'scipy.integrate' not in sys.modules"],
+                   check=True)
+
+
 def _raise(exc_type):
     def fail(*args, **kwargs):
         raise exc_type("planted failure")
@@ -572,7 +625,8 @@ def test_bundle_byte_identical_on_rerun(tmp_path):
 
 
 PARALLEL_SWEEPS = {
-    "green": {"radius": 8, "theta": [0.0, 0.25], "energy": [0.3]},
+    # two 0-good energies per solved phase, so points share a spectrum
+    "green": {"radius": 8, "theta": [0.0, 0.25, 0.38], "energy": [0.3, 0.4]},
     "dynamics": {"radius": 8, "theta": [0.1, 0.3], "times": [2.0, 200.0]},
     "localize": {"radius": 8, "theta": [0.1, 0.3]},
 }
