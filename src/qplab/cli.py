@@ -519,9 +519,8 @@ def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
     for row, val in zip(restriction.sites, diag):
         table.rows.append(tuple(int(v) for v in row)
                           + (float(val.real), float(val.imag)))
-    res = _status(0, len(table.rows),
-                  f"{len(table.rows)} sites, hermitian defect "
-                  f"{restriction.hermitian_defect:.3e}")
+    kind = "hermitian" if restriction.hermitian else "not hermitian"
+    res = _status(0, len(table.rows), f"{len(table.rows)} sites, {kind}")
     res.tables["assemble"] = table
     return res
 

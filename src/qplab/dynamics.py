@@ -34,12 +34,15 @@ from .lattice import (
     set_contains,
     site_index,
 )
-from .model import ModelSpec, assemble_t_matrix, log_decay_envelope
+from .model import (
+    ModelSpec,
+    assemble_t_matrix,
+    is_hermitian,
+    log_decay_envelope,
+)
 from .msa import MsaRun, deformation_levels
 
-# largest relative asymmetry ``evolve_amplitudes`` accepts as Hermitian, and
 # the eigenvector modulus at or below which a profile fit drops a site
-HERM_TOL = 1e-10
 PROFILE_FLOOR = 1e-14
 
 
@@ -67,19 +70,14 @@ def evolve_amplitudes(model: ModelSpec, window: LatticeBox, theta
                       ) -> EvolutionData:
     """Diagonalize ``H(theta)`` on a window around an origin site."""
     theta_c = theta.theta if hasattr(theta, "theta") else complex(theta)
-    if abs(theta_c.imag) > 1e-15:
-        raise NotHermitian("dynamics needs a real phase")
     sites = window.sites
-    h = assemble_t_matrix(model.potential, model.hopping,
-                          model.frequency.array(), model.eps,
-                          sites.astype(float), theta_c.real, 0.0)
-    defect = float(np.max(np.abs(h - h.conj().T)))
-    if defect > HERM_TOL * max(1.0, float(np.max(np.abs(h)))):
-        raise NotHermitian(f"restriction asymmetry {defect:.3e}")
+    h = assemble_t_matrix(model, sites, theta_c)
+    if not is_hermitian(h):
+        raise NotHermitian("dynamics needs an exactly Hermitian H(theta)")
     origin = np.flatnonzero(np.all(sites == 0, axis=1))
     if origin.size != 1:
         raise PreconditionViolated("window must contain the origin site")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh(h)
     o = int(origin[0])
     dists = np.max(np.abs(sites), axis=1).astype(float)
     return EvolutionData(sites, w, v, o, v[o, :].conj(), dists)
@@ -306,8 +304,7 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
 
     window = run.window
     sites = window.sites
-    t_mat = assemble_t_matrix(pot, model.hopping, model.frequency.array(),
-                              model.eps, sites.astype(float), run.theta,
+    t_mat = assemble_t_matrix(model, sites, run.theta,
                               complex(energy, 1.0 / t))
     lu, piv = lu_factor(t_mat, check_finite=False)
     origin = np.flatnonzero(np.all(sites == 0, axis=1))

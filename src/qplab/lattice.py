@@ -467,12 +467,15 @@ class DeformationLevel:
 
 def deformation_level(scale: int, blocks: Mapping | Iterable,
                       test_radius: float | None = None) -> DeformationLevel:
+    """A level from ``{center: sites}`` or ``(center, sites)`` pairs.
+
+    Centers are the blocks' true half-lattice centers (not doubled keys);
+    the level stores them doubled.
+    """
     items = blocks.items() if isinstance(blocks, Mapping) else blocks
     packed = []
     for center, sites in items:
-        c2 = _center2_from(np.asarray(center, dtype=float)
-                           if not isinstance(center, tuple) else center)
-        packed.append((c2, canonical_sites(sites)))
+        packed.append((_center2_from(center), canonical_sites(sites)))
     packed.sort(key=lambda kv: kv[0])
     reach2 = None
     if test_radius is not None:

@@ -318,7 +318,6 @@ class HoppingKernel:
     rho: float
     kind: str
     fn: Callable = field(compare=False)
-    hermitian: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -336,12 +335,12 @@ class HoppingKernel:
             out[dist == 0] = 0.0
             return out
 
-        return cls(alpha, rho, "saturating", fn, hermitian=True)
+        return cls(alpha, rho, "saturating", fn)
 
     @classmethod
-    def from_callable(cls, alpha: float, rho: float, fn: Callable,
-                      hermitian: bool = True) -> "HoppingKernel":
-        return cls(alpha, rho, "user", fn, hermitian=hermitian)
+    def from_callable(cls, alpha: float, rho: float,
+                      fn: Callable) -> "HoppingKernel":
+        return cls(alpha, rho, "user", fn)
 
 
 def kernel_weights(kernel: HoppingKernel, diffs: np.ndarray) -> np.ndarray:
@@ -461,9 +460,7 @@ def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray) -> np.ndarray:
 DENSE_CAP = 4096
 
 
-def assemble_t_matrix(potential: PotentialSpec, kernel: HoppingKernel,
-                      omega: np.ndarray, eps: float, sites, z,
-                      energy=0.0) -> np.ndarray:
+def assemble_t_matrix(model: ModelSpec, sites, z, energy=0.0) -> np.ndarray:
     """Dense ``T = diag(v(z + n.omega) - E) + eps W`` over arbitrary sites.
 
     Sites may live on a translated half-lattice (the multi-scale tracking
@@ -477,11 +474,22 @@ def assemble_t_matrix(potential: PotentialSpec, kernel: HoppingKernel,
     if sites.shape[0] > DENSE_CAP:
         raise BoxTooLarge(
             f"{sites.shape[0]} sites exceed the dense cap of {DENSE_CAP}")
-    phases = z + sites @ np.asarray(omega, dtype=float)
-    diag = np.asarray(eval_potential(potential, phases), dtype=complex)
-    mat = eps * toeplitz_block(kernel, sites)
+    phases = z + sites @ model.frequency.array()
+    diag = np.asarray(eval_potential(model.potential, phases), dtype=complex)
+    mat = model.eps * toeplitz_block(model.hopping, sites)
     np.fill_diagonal(mat, mat.diagonal() + diag - complex(energy))
     return mat if mat.imag.any() else mat.real.copy()
+
+
+def is_hermitian(h: np.ndarray) -> bool:
+    """Whether ``h`` equals its conjugate transpose bit for bit.
+
+    The one Hermitian test of the package: LAPACK's Hermitian drivers
+    (``eigh``, ``eigvalsh``) read one triangle only, so a matrix that
+    passes is exactly the matrix they diagonalize.
+    """
+    h = np.asarray(h)
+    return np.array_equal(h, h.T if np.isrealobj(h) else h.conj().T)
 
 
 @dataclass(frozen=True)
@@ -492,8 +500,6 @@ class OperatorRestriction:
     matrix: np.ndarray
     theta: complex
     energy: complex
-    hermitian: bool
-    hermitian_defect: float
     model: ModelSpec
 
     @property
@@ -504,6 +510,10 @@ class OperatorRestriction:
     def n_sites(self) -> int:
         return self.box.n_sites
 
+    @property
+    def hermitian(self) -> bool:
+        return is_hermitian(self.matrix)
+
 
 def assemble_restriction(model: ModelSpec, box: LatticeBox, theta,
                          energy=0.0) -> OperatorRestriction:
@@ -511,17 +521,8 @@ def assemble_restriction(model: ModelSpec, box: LatticeBox, theta,
     theta_c = theta.theta if isinstance(theta, PhasePoint) else complex(theta)
     PhasePoint(theta_c).validate(model.potential)
     e_c = energy.energy if isinstance(energy, EnergyPoint) else complex(energy)
-
-    mat = assemble_t_matrix(model.potential, model.hopping,
-                            model.frequency.array(), model.eps,
-                            box.sites.astype(float), theta_c, e_c)
-    defect = 0.0
-    flag = False
-    if (abs(theta_c.imag) < 1e-15 and abs(e_c.imag) < 1e-15
-            and model.hopping.hermitian):
-        defect = float(np.linalg.norm(mat - mat.conj().T))
-        flag = defect <= 1e-12 * max(1.0, float(np.linalg.norm(mat)))
-    return OperatorRestriction(box, mat, theta_c, e_c, flag, defect, model)
+    mat = assemble_t_matrix(model, box.sites, theta_c, e_c)
+    return OperatorRestriction(box, mat, theta_c, e_c, model)
 
 
 @dataclass(frozen=True)

@@ -1117,9 +1117,7 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
             f"set is not {s}-good: first failure {report.failures[0]}")
     sites_arr = np.atleast_2d(np.asarray(sites, dtype=np.int64))
     model = run.model
-    t = assemble_t_matrix(model.potential, model.hopping,
-                          model.frequency.array(), model.eps,
-                          sites_arr.astype(float), run.theta, run.energy)
+    t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
     g = green_solve(t)
     log_norm = math.log(g.op_norm) if g.op_norm > 0 else -math.inf
     sched = run.schedule
@@ -1162,9 +1160,7 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
     model = run.model
     sched = run.schedule
     sites_arr = fam.enlarged[key]
-    t = assemble_t_matrix(model.potential, model.hopping,
-                          model.frequency.array(), model.eps,
-                          sites_arr.astype(float), run.theta, run.energy)
+    t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
     g = green_solve(t)
     log_norm = math.log(g.op_norm) if g.op_norm > 0 else -math.inf
 
@@ -1201,7 +1197,8 @@ def deformation_levels(run: MsaRun, s: int):
         fam = run.scales[sp].family
         if fam is None:
             continue
-        blocks = {key: fam.enlarged[key] for key in fam.center_keys()}
+        blocks = [(np.asarray(key) / 2.0, fam.enlarged[key])
+                  for key in fam.center_keys()]
         test_r = fam.radii[2] + fam.realized_pad
         levels.append(deformation_level(sp, blocks, test_radius=test_r))
     return levels

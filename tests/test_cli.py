@@ -29,10 +29,17 @@ from qplab.cli import (
     parse_config,
     run,
 )
-from qplab.errors import ConfigInvalid, QplabError
+from qplab.dynamics import evolve_amplitudes
+from qplab.errors import ConfigInvalid, NotHermitian, QplabError
 from qplab.greens import combes_thomas_check, green_solve
 from qplab.lattice import box_around
-from qplab.model import PhasePoint, assemble_restriction, spectrum_bounds
+from qplab.model import (
+    HoppingKernel,
+    ModelSpec,
+    PhasePoint,
+    assemble_restriction,
+    spectrum_bounds,
+)
 
 
 def make_raw(kind, sweep, model=None, schedule=None):
@@ -390,6 +397,34 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
                     ("qplab.greens", "lu_factor"), ("qplab.dynamics", "eigh"),
                     ("qplab.model", "eigvalsh")}
     assert {dtype for _, _, dtype in dense_calls} == {np.dtype(np.float64)}
+
+
+def test_last_bit_asymmetry_is_not_hermitian(dense_calls, weak_model):
+    """A real kernel asymmetric by 1e-13 relative stays inside its decay
+    envelope, but its restriction is not exactly Hermitian: every
+    Hermitian consumer refuses it, and the inverse norm takes the SVD."""
+    sat = weak_model.hopping
+
+    def fn(diffs):
+        return sat.fn(diffs) * (1.0 + 1e-13 * np.sign(diffs[:, 0]))
+
+    model = ModelSpec(weak_model.potential,
+                      HoppingKernel.from_callable(sat.alpha, sat.rho, fn),
+                      weak_model.frequency, weak_model.eps)
+    box = box_around(np.zeros(1), 8)
+    rest = assemble_restriction(model, box, 0.113, 0.0)
+    assert 0.0 < float(np.max(np.abs(rest.matrix - rest.matrix.T))) < 1e-15
+    assert not rest.hermitian
+    with pytest.raises(NotHermitian):
+        evolve_amplitudes(model, box, 0.113)
+    with pytest.raises(NotHermitian):
+        combes_thomas_check(rest.matrix, box.sites, 0.3 + 1.2j,
+                            0.5, 2.0, 0.5)
+    with pytest.raises(NotHermitian):
+        spectrum_bounds(rest)
+    dense_calls.clear()
+    green_solve(rest.matrix)
+    assert {name for _, name, _ in dense_calls} == {"svd", "lu_factor"}
 
 
 def test_green_sweep_shares_one_spectrum_per_phase(dense_calls):

@@ -114,9 +114,7 @@ def test_time_average_matches_closed_form(rabi_ev):
 
 def _resolvent_column(model, ev, theta, z):
     """``G(z)(., 0)`` by one LU solve of the assembled restriction."""
-    t_mat = assemble_t_matrix(model.potential, model.hopping,
-                              model.frequency.array(), model.eps,
-                              ev.sites.astype(float), theta, z)
+    t_mat = assemble_t_matrix(model, ev.sites, theta, z)
     e0 = np.zeros(ev.sites.shape[0], dtype=complex)
     e0[ev.origin_idx] = 1.0
     return lu_solve(lu_factor(t_mat), e0)

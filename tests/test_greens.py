@@ -252,28 +252,20 @@ def test_neumann_guards():
 
 
 def test_determinant_evenness_integer_box(weak_model):
-    pot, kern = weak_model.potential, weak_model.hopping
-    omega = weak_model.frequency.array()
     sites = box_around(np.zeros(1), 5).sites
-    rep = determinant_evenness_check(pot, kern, omega, 1e-3, sites,
-                                     0.37 - 0.11j, 0.3)
+    rep = determinant_evenness_check(weak_model, sites, 0.37 - 0.11j, 0.3)
     assert rep.passed and rep.rel_defect <= 1e-8
 
 
 def test_determinant_evenness_half_lattice_frame(weak_model):
-    pot, kern = weak_model.potential, weak_model.hopping
-    omega = weak_model.frequency.array()
     frame = (np.arange(-6, 6)[:, None] + 0.5).astype(float)
-    rep = determinant_evenness_check(pot, kern, omega, 1e-3, frame, 0.21j)
+    rep = determinant_evenness_check(weak_model, frame, 0.21j)
     assert rep.passed
 
 
 def test_determinant_evenness_rejects_asymmetry(weak_model):
-    pot, kern = weak_model.potential, weak_model.hopping
-    omega = weak_model.frequency.array()
     with pytest.raises(AsymmetricBox):
-        determinant_evenness_check(pot, kern, omega, 1e-3,
-                                   np.array([[0], [1]]), 0.2)
+        determinant_evenness_check(weak_model, np.array([[0], [1]]), 0.2)
 
 
 def test_decay_scan_envelope_recovery():

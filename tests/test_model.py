@@ -1,5 +1,6 @@
 """Potential, frequency, hopping kernel, and dense assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from qplab import (
     certify_morse,
     eval_potential,
     hopping_weight,
+    is_hermitian,
     kernel_weights,
     solve_phase_for_energy,
     spectrum_bounds,
@@ -231,10 +233,9 @@ def test_model_spec_warns_outside_smallness():
 
 
 def test_assemble_eps_zero_is_diagonal(weak_model, small_window):
-    pot = weak_model.potential
     omega = weak_model.frequency.array()
     sites = small_window.sites.astype(float)
-    t = assemble_t_matrix(pot, weak_model.hopping, omega, 0.0, sites,
+    t = assemble_t_matrix(dataclasses.replace(weak_model, eps=0.0), sites,
                           0.113, 0.3)
     off = t - np.diag(np.diag(t))
     assert np.max(np.abs(off)) == 0.0
@@ -243,10 +244,8 @@ def test_assemble_eps_zero_is_diagonal(weak_model, small_window):
 
 
 def test_assemble_half_lattice_frame(weak_model):
-    omega = weak_model.frequency.array()
     frame = np.arange(-3, 4)[:, None] + 0.5
-    t = assemble_t_matrix(weak_model.potential, weak_model.hopping, omega,
-                          weak_model.eps, frame, 0.2, 0.0)
+    t = assemble_t_matrix(weak_model, frame, 0.2, 0.0)
     assert t.shape == (7, 7)
     assert np.allclose(t, t.conj().T, atol=1e-14)
 
@@ -254,11 +253,35 @@ def test_assemble_half_lattice_frame(weak_model):
 def test_assemble_restriction_flags(weak_model, small_window):
     rest = assemble_restriction(weak_model, small_window, 0.113, 0.3)
     assert rest.hermitian
-    assert rest.hermitian_defect <= 1e-12
     assert rest.n_sites == 33
     complex_rest = assemble_restriction(weak_model, small_window,
                                         0.113 + 0.1j, 0.3)
     assert not complex_rest.hermitian
+
+
+def _twisted(kernel):
+    """``kernel`` times ``exp(i pi sign(n_0) / 3)``: complex and Hermitian."""
+    def fn(diffs):
+        return kernel.fn(diffs) * np.exp(
+            1j * np.pi / 3.0 * np.sign(diffs[:, 0]))
+
+    return HoppingKernel.from_callable(kernel.alpha, kernel.rho, fn)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["real", "twisted"])
+@pytest.mark.parametrize("dim, radius", [(1, 3), (1, 40), (1, 256), (2, 3),
+                                         (2, 9)])
+def test_real_phase_restrictions_are_exactly_hermitian(dim, radius, twisted):
+    kernel = HoppingKernel.saturating(1.0, 2.0)
+    omega = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)[:dim]
+    model = ModelSpec(PotentialSpec.cosine(),
+                      _twisted(kernel) if twisted else kernel,
+                      FrequencyVector(omega, 3.0, 0.1), 1e-3)
+    box = box_around(np.zeros(dim), radius)
+    for theta, energy in ((0.113, 0.0), (0.3, 0.41), (0.77, -1.2)):
+        rest = assemble_restriction(model, box, theta, energy)
+        assert np.iscomplexobj(rest.matrix) == twisted
+        assert is_hermitian(rest.matrix) and rest.hermitian
 
 
 def test_assemble_restriction_dense_cap(weak_model):

@@ -35,7 +35,7 @@ from qplab.errors import (
     WindingMismatch,
     WindowTooSmall,
 )
-from qplab.lattice import site_index
+from qplab.lattice import regular_deformation, site_index
 from qplab.model import eval_potential, toeplitz_block
 from qplab.msa import (
     CaseData,
@@ -703,3 +703,13 @@ def test_deformation_levels_follow_depth(planted_model, planted_run):
     shallow = run_induction(planted_model, 0.113, 0.3,
                             box_around(np.zeros(1), 16), sched, 1)
     assert deformation_levels(shallow, 1) == []
+
+
+def test_deformation_levels_keep_true_block_centres(planted_run):
+    # the one block sits around 2.5 (doubled key 5) and covers -117..122;
+    # its trigger box of test radius 120 ends at 122.5
+    (level,) = deformation_levels(planted_run, 1)
+    assert [c2 for c2, _ in level.blocks] == [(5,)]
+    closed, rep = regular_deformation(np.array([[124], [125], [126]]),
+                                      [level])
+    assert rep.absorbed == () and closed.shape[0] == 3
