@@ -7,12 +7,13 @@ membership is exact integer arithmetic; a site ``k`` belongs to the box iff
 
 A site set has one representation: the canonical ``(n, d)`` int64 array
 returned by ``canonical_sites``, rows deduplicated and in lexicographic
-order.  Every set operation lives here and works on that form; membership
-encodes rows as linear indices on the joint bounding box and calls
-``np.isin``; ``site_index`` locates rows by the same keys.  ``site_tuples``
-only converts sites to hashable keys.  The helpers are unit-agnostic: they
-work equally on plain sites and on doubled half-lattice coordinates, as long
-as both arguments use the same convention.
+order.  Every set operation lives here and works on that form.  A call
+encodes its sets once, as row-major int64 keys on one joint bounding box
+(``_Frame``), and tests membership by ``searchsorted`` on the sorted side;
+a box too large for int64 keys each axis by the ranks of its coordinates.
+The helpers are unit-agnostic: they work equally on plain sites and on
+doubled half-lattice coordinates, as long as both arguments use the same
+convention.
 
 One fixpoint, ``_absorb``, adjoins tiles to a set, with two triggers:
 block construction in ``qplab.msa`` absorbs a lower-scale enlarged block
@@ -70,8 +71,7 @@ class LatticeBox:
     @property
     def reach2(self) -> int:
         """Doubled sup-distance actually admitted: floor(2 * radius)."""
-        r2 = 2.0 * float(self.radius)
-        return int(r2) if float(r2).is_integer() else math.floor(r2)
+        return math.floor(2.0 * self.radius)
 
     @cached_property
     def axis_ranges(self) -> tuple[tuple[int, int], ...]:
@@ -153,23 +153,77 @@ def as_sites(obj) -> np.ndarray:
     return out
 
 
-def _linear_keys(*sets: np.ndarray):
-    """Row-major int64 indices of nonempty (n, d) arrays on their joint
-    bounding box, with the box corner and shape.  Keys order like the rows
-    do lexicographically, so sorting keys sorts sites."""
-    lo = np.min([a.min(axis=0) for a in sets], axis=0)
-    hi = np.max([a.max(axis=0) for a in sets], axis=0)
-    shape = tuple(int(v) for v in hi - lo + 1)
-    return [np.ravel_multi_index((a - lo).T, shape) for a in sets], lo, shape
+class _Frame:
+    """Row-major int64 keys of sites on the bounding box of some rows.
+
+    Keys order like the rows do lexicographically, so sorting keys sorts
+    sites.  A box of 2**63 cells or more is compressed on each axis to the
+    ranks of the coordinates the rows hold there, which keeps that order.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.lo = rows.min(axis=0)
+        shape = [h - l + 1 for l, h in zip(self.lo.tolist(),
+                                           rows.max(axis=0).tolist())]
+        self.axes = None
+        if math.prod(shape) >= 2 ** 63:
+            self.axes = [np.unique(col) for col in rows.T]
+            shape = [a.size for a in self.axes]
+            if math.prod(shape) >= 2 ** 63:
+                raise SizeOverflow("site set too wide and sparse to key")
+        self.shape = np.asarray(shape)
+        self.strides = np.asarray([math.prod(shape[i + 1:])
+                                   for i in range(len(shape))])
+
+    def _index(self, rows: np.ndarray) -> np.ndarray:
+        if self.axes is None:
+            return rows - self.lo
+        return np.stack([np.searchsorted(a, col)
+                         for a, col in zip(self.axes, rows.T)], axis=1)
+
+    def _coords(self, idx: np.ndarray) -> np.ndarray:
+        if self.axes is None:
+            return idx + self.lo
+        return np.stack([a[i] for a, i in zip(self.axes, idx.T)], axis=1)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of rows that lie in the frame."""
+        return self._index(rows) @ self.strides
+
+    def split(self, rows: np.ndarray):
+        """(keys of the rows that lie in the frame, the other rows)."""
+        idx = np.clip(self._index(rows), 0, self.shape - 1)
+        inside = (self._coords(idx) == rows).all(axis=1)
+        return idx[inside] @ self.strides, rows[~inside]
+
+    def sites(self, keys: np.ndarray) -> np.ndarray:
+        return self._coords(keys[:, None] // self.strides % self.shape)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (``np.unique`` costs ten times more here)."""
+    keys = np.sort(keys)
+    return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+
+
+def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` that the sorted ``table`` holds."""
+    if table.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    return table.take(np.searchsorted(table, keys), mode="clip") == keys
 
 
 def canonical_sites(sites) -> np.ndarray:
-    """Deduplicated sites in lexicographic order (deterministic layout)."""
+    """Deduplicated sites in lexicographic order, never an alias of the
+    argument; already canonical rows are copied without re-sorting."""
     arr = as_sites(sites)
     if arr.shape[0] == 0:
         return arr
-    (keys,), lo, shape = _linear_keys(arr)
-    return np.stack(np.unravel_index(np.unique(keys), shape), axis=1) + lo
+    frame = _Frame(arr)
+    keys = frame.keys(arr)
+    if (keys[1:] > keys[:-1]).all():
+        return arr.copy()
+    return frame.sites(_distinct(keys))
 
 
 def site_index(sites, rows) -> np.ndarray:
@@ -182,10 +236,10 @@ def site_index(sites, rows) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if sites.shape[0] == 0:
         raise KeyError(f"site {tuple(rows[0].tolist())} is not in the set")
-    (keys, want), _, _ = _linear_keys(sites, rows)
+    frame = _Frame(np.concatenate([sites, rows]))
+    keys, want = frame.keys(sites), frame.keys(rows)
     order = np.argsort(keys, kind="stable")
-    pos = order[np.minimum(np.searchsorted(keys, want, sorter=order),
-                           keys.size - 1)]
+    pos = order.take(np.searchsorted(keys, want, sorter=order), mode="clip")
     miss = keys[pos] != want
     if miss.any():
         row = rows[int(np.argmax(miss))]
@@ -203,6 +257,12 @@ def sup_dist_sets(a, b) -> float:
     a, b = as_sites(a), as_sites(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return math.inf
+    # the pair nearest the other side's bounding box bounds the minimum; a
+    # site farther than that from the other box is in no closest pair
+    ga = np.maximum(b.min(axis=0) - a, a - b.max(axis=0)).max(axis=1)
+    gb = np.maximum(a.min(axis=0) - b, b - a.max(axis=0)).max(axis=1)
+    bound = np.abs(a[ga.argmin()] - b[gb.argmin()]).max()
+    a, b = a[ga <= bound], b[gb <= bound]
     best = math.inf
     chunk = max(1, int(4_000_000 // max(1, b.shape[0])))
     for start in range(0, a.shape[0], chunk):
@@ -227,8 +287,8 @@ def sets_intersect(a, b) -> bool:
     a, b = as_sites(a), as_sites(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return False
-    (ka, kb), _, _ = _linear_keys(a, b)
-    return bool(np.isin(ka, kb).any())
+    frame = _Frame(np.concatenate([a, b]))
+    return bool(_member(frame.keys(a), np.sort(frame.keys(b))).any())
 
 
 def set_contains(outer, inner) -> bool:
@@ -238,8 +298,8 @@ def set_contains(outer, inner) -> bool:
         return True
     if outer.shape[0] == 0:
         return False
-    (ki, ko), _, _ = _linear_keys(inner, outer)
-    return bool(np.isin(ki, ko).all())
+    frame = _Frame(np.concatenate([inner, outer]))
+    return bool(_member(frame.keys(inner), np.sort(frame.keys(outer))).all())
 
 
 def set_union(*sets) -> np.ndarray:
@@ -497,6 +557,67 @@ def _block_reach2(center2, sites) -> int:
     return int(np.max(np.abs(2 * as_sites(sites) - c2)))
 
 
+class _Tiles:
+    """Tiles, and the triggers that adjoin them, keyed once on one frame.
+
+    The frame spans the tile and trigger rows only: a site outside it meets
+    none of them, so a set splits into the keys of its rows inside and the
+    rows outside, which no step touches.  Key ``j`` belongs to tile
+    ``owner[j]``; without triggers every tile is its own trigger.
+    """
+
+    def __init__(self, tiles: Sequence, triggers: Sequence | None = None):
+        tiles = [as_sites(t) for t in tiles]
+        trigs = tiles if triggers is None else [as_sites(t) for t in triggers]
+        self.sizes = np.asarray([t.shape[0] for t in tiles], dtype=np.int64)
+        rows = [t for t in tiles + trigs if t.shape[0]]
+        self.frame = _Frame(np.concatenate(rows)) if rows else None
+        if rows:
+            self.keys, self.owner = self._stack(tiles)
+            self.trig_keys, self.trig_owner = self._stack(trigs)
+
+    def _stack(self, arrays: list):
+        sizes = [a.shape[0] for a in arrays]
+        return (self.frame.keys(np.concatenate(arrays)),
+                np.repeat(np.arange(len(arrays)), sizes))
+
+    def absorb(self, sites, max_rounds: int):
+        """``_absorb`` with these tiles and triggers."""
+        seed = as_sites(sites)
+        if self.frame is None or seed.shape[0] == 0:
+            return canonical_sites(seed), [], 1
+        current, outside = self.frame.split(seed)
+        current, taken = _distinct(current), []
+        free = np.ones(self.sizes.size, dtype=bool)
+        for rounds in range(1, max_rounds + 1):
+            hit = free & (np.bincount(self.trig_owner[_member(
+                self.trig_keys, current)], minlength=free.size) > 0)
+            free &= ~hit
+            taken += np.flatnonzero(hit).tolist()
+            grown = _distinct(np.concatenate([current,
+                                              self.keys[hit[self.owner]]]))
+            if grown.size == current.size:
+                closed = self.frame.sites(current)
+                return (canonical_sites(np.concatenate([closed, outside]))
+                        if outside.shape[0] else closed), taken, rounds
+            current = grown
+        raise NonConvergence(
+            f"absorption did not stabilize in {max_rounds} rounds")
+
+    def first_cut(self, sites) -> int | None:
+        """``_first_cut`` with these tiles.  One membership pass counts the
+        rows of each tile in the set: the tile meets the set when its count
+        is positive and lies inside when the count is its row count."""
+        arr = as_sites(sites)
+        if self.frame is None or arr.shape[0] == 0:
+            return None
+        inside = np.sort(self.frame.split(arr)[0])
+        held = np.bincount(self.owner[_member(self.keys, inside)],
+                           minlength=self.sizes.size)
+        cut = np.flatnonzero((held > 0) & (held < self.sizes))
+        return int(cut[0]) if cut.size else None
+
+
 def _absorb(sites, tiles: Sequence, triggers: Sequence, max_rounds: int):
     """Least superset of ``sites`` that holds every tile whose trigger meets it.
 
@@ -521,26 +642,14 @@ def _absorb(sites, tiles: Sequence, triggers: Sequence, max_rounds: int):
     order taken, and the number of rounds including the last, which adds no
     site.  Raises NonConvergence past ``max_rounds`` rounds.
     """
-    current = canonical_sites(sites)
-    taken: list = []
-    for rounds in range(1, max_rounds + 1):
-        hits = [i for i, trigger in enumerate(triggers)
-                if i not in taken and sets_intersect(trigger, current)]
-        taken += hits
-        grown = set_union(current, *(tiles[i] for i in hits))
-        if grown.shape[0] == current.shape[0]:
-            return current, taken, rounds
-        current = grown
-    raise NonConvergence(f"absorption did not stabilize in {max_rounds} rounds")
+    return _Tiles(tiles, triggers).absorb(sites, max_rounds)
 
 
 def _first_cut(sites, tiles: Sequence) -> int | None:
     """Index of the first tile that meets ``sites`` without lying inside it,
-    or None.  The closure witness: it shares no code with ``_absorb``."""
-    for i, tile in enumerate(tiles):
-        if sets_intersect(sites, tile) and not set_contains(sites, tile):
-            return i
-    return None
+    or None.  The closure witness: it shares the keys of ``_Tiles`` but
+    not the fixpoint loop of ``_absorb``."""
+    return _Tiles(tiles).first_cut(sites)
 
 
 def _by_scale(levels: Sequence[DeformationLevel]) -> list:

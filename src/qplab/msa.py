@@ -39,8 +39,7 @@ from .errors import (
 from .greens import DecayFit, decay_scan, green_solve
 from .lattice import (
     LatticeBox,
-    _absorb,
-    _first_cut,
+    _Tiles,
     canonical_sites,
     deformation_level,
     set_contains,
@@ -409,8 +408,9 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     if p2.shape[0] == 0:
         raise PreconditionViolated("cannot build blocks for an empty P_s")
     r_res, r_dbl, r_enl = schedule.radii(s, case)
-    lower_tiles = [fam.enlarged[key] for fam in lower
-                   for key in fam.center_keys()]
+    # every lower-scale enlarged block, keyed once for the whole call
+    lower_tiles = _Tiles([fam.enlarged[key] for fam in lower
+                          for key in fam.center_keys()])
     keys = [tuple(int(v) for v in row) for row in p2]
 
     levels = {}
@@ -424,11 +424,9 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                     "escapes the working window; enlarge it")
         for _ in range(BLOCK_MAX_ROUNDS):
             # a round that takes no tile ends the absorption
-            grown = [2 * _absorb(blk, lower_tiles, lower_tiles,
-                                 len(lower_tiles) + 1)[0] - np.asarray(key)
-                     for key, blk in blocks.items()]
-            template = set_union(*grown)
-            template = set_union(template, -template)
+            grown = [2 * lower_tiles.absorb(blk, lower_tiles.sizes.size + 1)[0]
+                     - np.asarray(key) for key, blk in blocks.items()]
+            template = set_union(*grown, *(-g for g in grown))
             uni = {key: (template + np.asarray(key)) // 2 for key in keys}
             if not all(window.contains_sites(b).all() for b in uni.values()):
                 raise WindowTooSmall("symmetrized block escapes the window")
@@ -530,10 +528,10 @@ def verify_block_family(family: BlockFamily,
     and the pad budget.
     """
     keys = family.center_keys()
-    lower_tiles = [fam.enlarged[key] for fam in lower
-                   for key in fam.center_keys()]
+    lower_tiles = _Tiles([fam.enlarged[key] for fam in lower
+                          for key in fam.center_keys()])
     absorption = all(
-        _first_cut(level[key], lower_tiles) is None for key in keys
+        lower_tiles.first_cut(level[key]) is None for key in keys
         for level in (family.resonant, family.doubled, family.enlarged))
 
     separation = all(

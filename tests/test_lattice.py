@@ -38,7 +38,6 @@ from qplab.lattice import (
     set_union,
     sets_intersect,
     site_index,
-    site_tuples,
     sup_dist_sets,
     symmetric_about_origin,
 )
@@ -141,8 +140,13 @@ def test_set_predicates():
 
 
 def _site_sets(dim: int):
+    """Small sets, possibly empty, each shifted by its own offset of 0 or
+    +-1e4 per axis, so joint frames are as sparse as the block toys'."""
     rows = st.lists(st.tuples(*[st.integers(-5, 5)] * dim), max_size=10)
-    return rows.map(lambda r: np.asarray(r, dtype=np.int64).reshape(-1, dim))
+    shift = st.tuples(*[st.sampled_from((0, 0, -10 ** 4, 10 ** 4))] * dim)
+    return st.tuples(rows, shift).map(
+        lambda rs: np.asarray(rs[0], dtype=np.int64).reshape(-1, dim)
+        + np.asarray(rs[1], dtype=np.int64))
 
 
 def _oracle(sites) -> set:
@@ -158,6 +162,10 @@ def test_set_layer_matches_tuple_oracle(data):
     assert sets_intersect(a, b) == bool(ta & tb)
     assert set_contains(a, b) == (tb <= ta)
     assert list(map(tuple, canonical_sites(a).tolist())) == sorted(ta)
+    arg = canonical_sites(a)
+    out = canonical_sites(arg)
+    arg += 1
+    assert list(map(tuple, out.tolist())) == sorted(ta)
     union = set_union(a, b)
     assert union.shape == (len(ta | tb), dim)
     assert list(map(tuple, union.tolist())) == sorted(ta | tb)
@@ -191,6 +199,32 @@ def test_set_layer_matches_tuple_oracle(data):
     assert _first_cut(a, tiles) == (cut[0] if cut else None)
     assert _first_cut(closed, [t for i, t in enumerate(tiles)
                                if i in took]) is None
+
+    # permuting tiles and triggers together moves no site, take or cut
+    perm = data.draw(st.permutations(range(n)))
+    closed_p, taken_p, _ = _absorb(a, [tiles[i] for i in perm],
+                                   [triggers[i] for i in perm], n + 1)
+    assert closed_p.tolist() == closed.tolist()
+    assert {perm[j] for j in taken_p} == took
+    first_p = _first_cut(a, [tiles[i] for i in perm])
+    assert first_p == next((j for j, i in enumerate(perm) if i in cut), None)
+
+
+def test_set_layer_survives_frames_past_int64():
+    # the joint box of these rows has more than 2**63 cells, so the keys
+    # fall back to per-axis coordinate ranks
+    far = [[3_000_000] * 3]
+    assert not sets_intersect([[0, 0, 0]], far)
+    assert set_contains([[0, 0, 0]] + far, far)
+    np.testing.assert_array_equal(set_union(far, [[0, 0, 0]]),
+                                  [[0, 0, 0], [3_000_000] * 3])
+    np.testing.assert_array_equal(site_index(far + [[0, 0, 0]], far), [0])
+    tiles = [[[0, 0, 0]] + far, [[3_000_000, 0, 3_000_000]]]
+    closed, taken, rounds = _absorb([[5, 5, 5], [0, 0, 0]], tiles, tiles, 3)
+    np.testing.assert_array_equal(closed, [[0, 0, 0], [5, 5, 5]] + far)
+    assert (taken, rounds) == ([0], 2)
+    assert _first_cut([[0, 0, 0], [5, 5, 5]], tiles) == 0
+    assert _first_cut(closed, tiles) is None
 
 
 def test_serialize_sites_is_sorted_json_ready():
