@@ -95,7 +95,6 @@ from .greens import (
     det_perturbation_check,
     green_solve,
     hadamard_adjugate_check,
-    hermitian_eigenvalues,
     sandwich_check,
     schur_complement,
 )
@@ -526,26 +525,18 @@ def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
 
 
 class _GreenSweep:
-    """The points of one green sweep and the data they share.
+    """The points of one green sweep and the window data they share.
 
-    The window's sup-distance classes are built once, by the first point
-    that solves.  ``H(theta)`` at E = 0 and its spectrum depend on the
-    phase only, and the points of a phase are adjacent (points are sorted),
-    so the latest phase's ``H`` and ``eigvalsh`` are kept for the next
-    energy; None marks an ``H`` that is not exactly Hermitian, whose points
-    take the SVD in ``green_solve``.  Each energy inverts a copy of ``H``
-    with E subtracted on the diagonal: the diagonal of a fresh assembly is
-    ``(eps W_nn + v) - E`` in that order, so the bits are the same.
-    An instance lives for one ``run()`` call.  A step that raises stores
-    nothing, so the next point tries it again; under ``--jobs`` two points
-    of one phase may both compute it, with identical results.
+    The window's sup-distance classes are built once, under a lock, by the
+    first point that solves; each point assembles and inverts its own
+    restriction.  An instance lives for one ``run()`` call.  A build that
+    raises stores nothing, so the next point tries it again.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._lock = threading.Lock()
         self._classes = None
-        self._phase = None  # (theta, H, eigenvalues or None)
 
     def _distance_classes(self) -> tuple:
         """``(order, starts, radii)``: ``order`` lists the flat pair indices
@@ -561,15 +552,6 @@ class _GreenSweep:
                 starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
                 self._classes = (order, starts, dist[starts])
             return self._classes
-
-    def _hamiltonian(self, theta: float) -> tuple:
-        phase = self._phase
-        if phase is None or phase[0] != theta:
-            h = assemble_restriction(self.cfg.model, self.cfg.window,
-                                     PhasePoint(theta), 0.0).matrix
-            phase = (theta, h, hermitian_eigenvalues(h))
-            self._phase = phase
-        return phase[1:]
 
     def __call__(self, point: dict) -> PointResult:
         model = self.cfg.model
@@ -587,11 +569,8 @@ class _GreenSweep:
                 f"{delta0:.3e})")
 
         order, starts, radii = self._distance_classes()
-        h, lam = self._hamiltonian(theta)
-        t = h.copy()
-        np.fill_diagonal(t, h.diagonal() - energy)
-        g = green_solve(t, None if lam is None else lam - energy)
-        del t  # freed before the gather below allocates its n^2 floats
+        g = green_solve(assemble_restriction(
+            model, self.cfg.window, PhasePoint(theta), energy).matrix)
         # largest |G| in each distance class; the classes are symmetric
         # sets of pairs, so G's memory order ("K") reads the same maxima
         peak = g.matrix.ravel(order="K")[order]

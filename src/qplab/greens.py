@@ -11,6 +11,7 @@ them on random instances while the induction code calls the same paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     NotHermitian,
     Singular,
 )
-from .lattice import pairwise_sup_dist
+from .lattice import pairwise_sup_dist, symmetric_about_origin
 from .model import assemble_t_matrix, is_hermitian, log_decay_envelope
 
 LOG2 = float(np.log(2.0))
@@ -49,7 +50,8 @@ def two_norm(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GreenMatrix:
-    """An inverse ``G = T^{-1}`` with its certification data."""
+    """A computed inverse of ``T``; ``op_norm`` is a certified upper bound
+    on ``||T^{-1}||_2``."""
 
     matrix: np.ndarray
     op_norm: float
@@ -57,26 +59,28 @@ class GreenMatrix:
     pivot_min: float
 
 
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of ``h`` if ``model.is_hermitian(h)``, else None."""
-    return np.linalg.eigvalsh(h) if is_hermitian(h) else None
-
-
-def green_solve(t: np.ndarray, eigenvalues=None) -> GreenMatrix:
-    """Invert a dense restriction, refusing numerically singular input.
+def green_solve(t: np.ndarray) -> GreenMatrix:
+    """Invert a dense restriction and certify an upper bound on its norm.
 
     Raises Singular when an LU pivot falls below ``PIVOT_RTOL`` times the
-    largest entry, or when the identity residual of the computed inverse
-    exceeds the conditioning-aware tolerance.  The inverse is formed in
-    place from the checked LU (LAPACK ``getri``), so the peak memory is
-    that of ``t``, its LU and the residual product.
+    largest entry, when the identity residual of the computed inverse ``G``
+    exceeds the conditioning-aware gate, or when a residual bound ``Rbar_p``
+    below is not under 1/2.  ``G`` is formed in place from the checked LU
+    (LAPACK ``getri``).
 
-    ``op_norm`` is the exact ``||T^{-1}|| = 1 / sigma_min(T)``.  For a
-    normal ``T`` the singular values are the moduli of its eigenvalues:
-    pass them as ``eigenvalues`` when they are known (the green sweep
-    shifts one spectrum of ``H(theta)`` by each energy), or let an exactly
-    Hermitian ``T`` get them from ``hermitian_eigenvalues``.  Any other
-    ``T`` takes the SVD.
+    ``op_norm`` bounds ``||T^{-1}||_2`` from above.  With ``R = T G - I``,
+    ``T^{-1} = G (I + R)^{-1}``, so ``||T^{-1}||_p <= ||G||_p / (1 -
+    Rbar_p)`` for p = 1, inf, and ``||.||_2^2 <= ||.||_1 ||.||_inf``.
+    ``Rbar_p = ||fl(R)||_p + gamma ||T||_p ||G||_p`` bounds ``||R||_p``:
+    gamma bounds the rounding of the product relative to ``|T| |G|``,
+    ``gamma_n = nu / (1 - nu)`` (``u = 2^-53``) in real and ``sqrt(2)
+    gamma_2n`` in complex arithmetic (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sections 3.5-3.6).  Each norm sum is
+    rounded up by ``1 + gamma``, which covers its own summation and the
+    subtracted identity, and the bound by 16 ulps, which covers the few
+    operations that combine the sums.  ``|R|``, ``|T|`` and ``|G|`` take
+    turns in the buffer of ``R``, so the peak memory is that of ``t``,
+    ``G`` and ``R``.
     """
     t = np.asarray(t)
     n = t.shape[0]
@@ -85,12 +89,6 @@ def green_solve(t: np.ndarray, eigenvalues=None) -> GreenMatrix:
     scale = float(np.max(np.abs(t)))
     if not np.isfinite(scale) or scale == 0.0:
         raise Singular("matrix entries are zero or non-finite")
-    if eigenvalues is None:
-        eigenvalues = hermitian_eigenvalues(t)
-    if eigenvalues is not None:
-        sigma_min = float(np.min(np.abs(eigenvalues)))
-    else:
-        sigma_min = float(np.linalg.svd(t, compute_uv=False)[-1])
     lu, piv = lu_factor(t)
     pivot_min = float(np.min(np.abs(np.diag(lu))))
     if not np.isfinite(pivot_min) or pivot_min < PIVOT_RTOL * scale:
@@ -109,7 +107,21 @@ def green_solve(t: np.ndarray, eigenvalues=None) -> GreenMatrix:
     if residual > gate:
         raise Singular(
             f"identity residual {residual:.3e} exceeds gate {gate:.3e}")
-    return GreenMatrix(g, 1.0 / sigma_min, residual, pivot_min)
+    u = 2.0 ** -53
+    k = n if np.isrealobj(r) else 2 * n
+    gamma = k * u / (1.0 - k * u) * (1.0 if np.isrealobj(r) else 2.0 ** 0.5)
+    sums = []  # (1-norm, inf-norm) of R, T and G
+    for a in (r, t, g):
+        np.abs(a, out=r)
+        sums.append([float(r.sum(axis=ax).real.max()) * (1.0 + gamma)
+                     for ax in (0, 1)])
+    op_norm = 1.0 + 16.0 * u
+    for r_p, t_p, g_p in zip(*sums):
+        rbar = r_p + gamma * t_p * g_p
+        if not rbar < 0.5:
+            raise Singular(f"residual bound {rbar:.3e} is not below 1/2")
+        op_norm *= math.sqrt(g_p / (1.0 - rbar))
+    return GreenMatrix(g, op_norm, residual, pivot_min)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +420,7 @@ def determinant_evenness_check(model, sites, z: complex,
     s2 = np.rint(2.0 * sites).astype(np.int64)
     if np.max(np.abs(2.0 * sites - s2)) > 1e-9:
         raise ValueError("sites must lie on the half-integer lattice")
-    plus = np.unique(s2, axis=0)
-    minus = np.unique(-s2, axis=0)
-    if plus.shape != minus.shape or np.any(plus != minus):
+    if not symmetric_about_origin(s2):
         raise AsymmetricBox("site set is not symmetric about the origin")
     det = {}
     for sgn in (1.0, -1.0):

@@ -1117,7 +1117,7 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
     model = run.model
     t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
     g = green_solve(t)
-    log_norm = math.log(g.op_norm) if g.op_norm > 0 else -math.inf
+    log_norm = math.log(g.op_norm)
     sched = run.schedule
     if s == 0:
         log_bound = (math.log(2.0 / model.potential.kappa1)
@@ -1160,7 +1160,7 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
     sites_arr = fam.enlarged[key]
     t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
     g = green_solve(t)
-    log_norm = math.log(g.op_norm) if g.op_norm > 0 else -math.inf
+    log_norm = math.log(g.op_norm)
 
     omega = model.frequency.array()
     phase = run.theta + float(np.asarray(key, dtype=float) @ omega) / 2.0
