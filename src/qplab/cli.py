@@ -679,8 +679,22 @@ def _run_localize(cfg: ExperimentConfig, point: dict) -> PointResult:
     return res
 
 
+def _groups(*keys) -> list:
+    """(key tuple, count) for each distinct tuple of drawn keys, sorted."""
+    dims = [int(k.max()) + 1 for k in keys]
+    codes, counts = np.unique(np.ravel_multi_index(keys, dims),
+                              return_counts=True)
+    uniq = zip(*(c.tolist() for c in np.unravel_index(codes, dims)))
+    return list(zip(uniq, counts.tolist()))
+
+
+def _complex_normal(rng, shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def _suite_rows(cfg: ExperimentConfig) -> list:
-    """The lemma suites: (name, instances, violations) triples."""
+    """The lemma suites: (name, instances, violations) triples.  A matrix
+    suite draws its sizes first and checks each size as one stack."""
     model, instances = cfg.model, cfg.instances
     rho = model.hopping.rho
     rows = []
@@ -695,50 +709,40 @@ def _suite_rows(cfg: ExperimentConfig) -> list:
                  int(np.count_nonzero(defects > cert.c_hat + 1e-9))))
 
     rng = np.random.default_rng([cfg.seed, 11])
-    bad = 0
-    for _ in range(instances):
-        x = float(np.exp(rng.uniform(0.0, 8.0)))
-        y = float(rng.uniform(0.0, 1.0)) * min(x, (1 + x) / 2.0)
-        if not (x > y > 0 and 1 + x > 2 * y):
-            continue
-        bound = extract_lower_bound(x, y, rho)
-        if bound > math.log1p(x - y) ** rho * (1 + 1e-12) + 1e-12:
-            bad += 1
-    rows.append(("extract", instances, bad))
+    x = np.exp(rng.uniform(0.0, 8.0, instances))
+    y = rng.uniform(0.0, 1.0, instances) * np.minimum(x, (1 + x) / 2.0)
+    keep = (x > y) & (y > 0) & (1 + x > 2 * y)
+    x, y = x[keep], y[keep]
+    bound = extract_lower_bound(x, y, rho)
+    rows.append(("extract", instances, int(np.count_nonzero(
+        bound > np.log1p(x - y) ** rho * (1 + 1e-12) + 1e-12))))
 
     rng = np.random.default_rng([cfg.seed, 12])
     bad = 0
-    for _ in range(instances):
-        n = int(rng.integers(2, 7))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        if not hadamard_adjugate_check(m).holds:
-            bad += 1
+    for (n,), count in _groups(rng.integers(2, 7, instances)):
+        m = _complex_normal(rng, (count, n, n))
+        bad += int(np.count_nonzero(~hadamard_adjugate_check(m).holds))
     rows.append(("hadamard", instances, bad))
 
     rng = np.random.default_rng([cfg.seed, 13])
+    sizes = rng.integers(3, 8, instances)
     bad = 0
-    for _ in range(instances):
-        n = int(rng.integers(3, 8))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m += 2.0 * n * np.eye(n)
-        m /= max(1.0, float(np.abs(m).max()) * n)
-        k = int(rng.integers(1, n))
-        idx = rng.permutation(n)[:k]
-        data = schur_complement(m, idx)
-        rep = sandwich_check(m, idx)
-        if data.det_defect > 1e-6 or not (rep.lower_holds and
-                                          rep.upper_holds):
-            bad += 1
+    for (n, k), count in _groups(sizes, rng.integers(1, sizes)):
+        m = _complex_normal(rng, (count, n, n)) + 2.0 * n * np.eye(n)
+        m /= np.maximum(1.0, np.abs(m).max(axis=(1, 2)) * n)[:, None, None]
+        data = schur_complement(m, np.arange(k))
+        rep = sandwich_check(m, data)
+        bad += int(np.count_nonzero((data.det_defect > 1e-6)
+                                    | ~(rep.lower_holds & rep.upper_holds)))
     rows.append(("schur", instances, bad))
 
     rng = np.random.default_rng([cfg.seed, 14])
     bad = 0
-    for _ in range(instances):
-        n = int(rng.integers(2, 7))
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 0)
-        if not det_perturbation_check(a, b).holds:
-            bad += 1
+    for (n,), count in _groups(rng.integers(2, 7, instances)):
+        a = rng.normal(size=(count, n, n))
+        b = (rng.normal(size=(count, n, n))
+             * 10.0 ** rng.uniform(-6, 0, size=(count, 1, 1)))
+        bad += int(np.count_nonzero(~det_perturbation_check(a, b).holds))
     rows.append(("det-perturbation", instances, bad))
 
     rng = np.random.default_rng([cfg.seed, 15])
@@ -746,16 +750,12 @@ def _suite_rows(cfg: ExperimentConfig) -> list:
     bad = 0
     box = cfg.window
     for _ in range(ct_n):
-        theta = float(rng.uniform(0.0, 1.0))
-        restriction = assemble_restriction(model, box, PhasePoint(theta),
-                                           0.0)
+        theta = PhasePoint(float(rng.uniform(0.0, 1.0)))
+        h = assemble_restriction(model, box, theta, 0.0).matrix
         z = complex(rng.uniform(-1.0, 1.0), 0.75)
-        rep = combes_thomas_check(restriction.matrix,
-                                  box.sites.astype(float), z,
-                                  0.75 * model.hopping.alpha, rho,
-                                  cert.c_hat)
-        if not rep.holds:
-            bad += 1
+        bad += not combes_thomas_check(h, box.sites.astype(float), z,
+                                       0.75 * model.hopping.alpha, rho,
+                                       cert.c_hat).holds
     rows.append(("combes-thomas", ct_n, bad))
     return rows
 

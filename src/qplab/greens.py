@@ -7,6 +7,8 @@ Combes-Thomas bound tailored to log-power (quasi-metric) decay, and Neumann
 series inversion of diagonally dominant restrictions.  Each fact gets a
 checker that computes both sides numerically, so the test suite can hammer
 them on random instances while the induction code calls the same paths.
+The matrix checks take one matrix or a stack ``(..., n, n)`` and return one
+value per matrix, so a suite calls each check once per size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .errors import (
     ASingular,
@@ -40,12 +42,13 @@ EVENNESS_TOL = 1e-8
 DECAY_LOG_TOL = 1e-9
 
 
-def two_norm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value, by SVD)."""
+def two_norm(a: np.ndarray) -> np.ndarray:
+    """Spectral norm (largest singular value, by SVD) of each matrix in a
+    stack; 0 for an empty matrix."""
     a = np.asarray(a)
-    if min(a.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    if a.size == 0:
+        return np.zeros(a.shape[:-2])[()]
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -130,93 +133,90 @@ def green_solve(t: np.ndarray) -> GreenMatrix:
 
 @dataclass(frozen=True)
 class SchurData:
+    """``S = D - C A^{-1} B`` for ``A = M[inner, inner]``, ``B = M[inner,
+    keep]``, ``C = M[keep, inner]``, ``D = M[keep, keep]``."""
+
     s_matrix: np.ndarray
     inner_idx: np.ndarray
     keep_idx: np.ndarray
     a_inverse: np.ndarray
-    det_defect: float
+    b_block: np.ndarray
+    c_block: np.ndarray
+    det_defect: np.ndarray
 
 
-def schur_complement(m: np.ndarray, inner_idx, *,
-                     check_det: bool = True) -> SchurData:
+def schur_complement(m: np.ndarray, inner_idx) -> SchurData:
     """Eliminate the block indexed by ``inner_idx``; verify det M = det A det S.
 
-    The determinant identity is checked in log form (slogdet) whenever both
-    sides are finite; its relative defect is recorded on the result.
+    ``m`` is one matrix or a stack ``(..., n, n)`` sharing ``inner_idx``.
+    Raises ASingular when any eliminated block has an LU pivot below
+    ``1e-14`` times its largest entry.  The determinant identity is checked
+    in log form (slogdet) wherever all three sides are finite; its relative
+    defect, 0 elsewhere, is recorded on the result.
     """
     m = np.asarray(m)
-    n = m.shape[0]
-    inner = np.asarray(inner_idx, dtype=np.int64).ravel()
-    mask = np.zeros(n, dtype=bool)
-    mask[inner] = True
-    keep = np.flatnonzero(~mask)
-    inner = np.flatnonzero(mask)
+    mask = np.zeros(m.shape[-1], dtype=bool)
+    mask[np.asarray(inner_idx, dtype=np.int64).ravel()] = True
+    inner, keep = np.flatnonzero(mask), np.flatnonzero(~mask)
     if inner.size == 0 or keep.size == 0:
         raise ValueError("both blocks of the partition must be non-empty")
-
-    a = m[np.ix_(inner, inner)]
-    b = m[np.ix_(inner, keep)]
-    c = m[np.ix_(keep, inner)]
-    d = m[np.ix_(keep, keep)]
-    try:
-        lu, piv = lu_factor(a)
-    except Exception as exc:
-        raise ASingular(f"eliminated block is singular: {exc}") from exc
-    pivot_min = float(np.min(np.abs(np.diag(lu))))
-    if not np.isfinite(pivot_min) or pivot_min < 1e-14 * max(
-            1e-300, float(np.max(np.abs(a)))):
-        raise ASingular(
-            f"eliminated block pivot {pivot_min:.3e} is effectively zero")
-    a_inv = lu_solve((lu, piv), np.eye(inner.size, dtype=m.dtype))
+    k = inner.size
+    order = np.concatenate([inner, keep])
+    p = m[..., order, :][..., order]
+    a, b = p[..., :k, :k], p[..., :k, k:]
+    c, d = p[..., k:, :k], p[..., k:, k:]
+    getrf, = get_lapack_funcs(("getrf",), (a,))
+    pivots = np.array([getrf(blk)[0].diagonal()
+                       for blk in a.reshape(-1, k, k)])
+    pivot_min = np.abs(pivots).min(axis=-1)
+    scale = np.maximum(1e-300, np.abs(a).max(axis=(-2, -1))).ravel()
+    if not np.all(np.isfinite(scale) & (pivot_min >= 1e-14 * scale)):
+        raise ASingular(f"eliminated block pivot {np.min(pivot_min):.3e} "
+                        "is effectively zero")
+    a_inv = np.linalg.inv(a)
     s = d - c @ (a_inv @ b)
-
-    defect = 0.0
-    if check_det:
-        sign_m, log_m = np.linalg.slogdet(m)
-        sign_a, log_a = np.linalg.slogdet(a)
-        sign_s, log_s = np.linalg.slogdet(s)
-        if np.isfinite(log_m) and np.isfinite(log_a) and np.isfinite(log_s):
-            lhs = sign_m
-            rhs = sign_a * sign_s * np.exp(
-                np.clip(log_a + log_s - log_m, -700.0, 700.0))
-            defect = float(abs(lhs - rhs))
-    return SchurData(s, inner, keep, a_inv, defect)
+    sign_m, log_m = np.linalg.slogdet(m)
+    sign_a, log_a = np.linalg.slogdet(a)
+    sign_s, log_s = np.linalg.slogdet(s)
+    with np.errstate(invalid="ignore"):
+        gap = log_a + log_s - log_m
+        defect = np.abs(sign_m - sign_a * sign_s
+                        * np.exp(np.clip(gap, -700.0, 700.0)))
+    return SchurData(s, inner, keep, a_inv, b, c,
+                     np.where(np.isfinite(gap), defect, 0.0))
 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    s_inv_norm: float
-    m_inv_norm: float
-    a_inv_norm: float
-    b_norm: float
-    c_norm: float
-    upper_bound: float
-    upper_applicable: bool
-    lower_holds: bool
-    upper_holds: bool
+    s_inv_norm: np.ndarray
+    m_inv_norm: np.ndarray
+    a_inv_norm: np.ndarray
+    b_norm: np.ndarray
+    c_norm: np.ndarray
+    upper_bound: np.ndarray
+    upper_applicable: np.ndarray
+    lower_holds: np.ndarray
+    upper_holds: np.ndarray
 
 
-def sandwich_check(m: np.ndarray, inner_idx) -> SandwichReport:
+def sandwich_check(m: np.ndarray, schur: SchurData) -> SandwichReport:
     """Check ``||S^{-1}|| <= ||M^{-1}|| < 4(1+||A^{-1}||)^2 (1+||S^{-1}||)``.
 
-    The lower inequality is unconditional (S^{-1} is a sub-block of M^{-1});
-    the upper one requires the off-diagonal blocks to be contractions, which
-    is reported rather than enforced.
+    ``schur`` is ``schur_complement(m, ...)``, whose blocks and ``A^{-1}``
+    are reused.  The lower inequality is unconditional (S^{-1} is a
+    sub-block of M^{-1}); the upper one requires the off-diagonal blocks to
+    be contractions, which is reported rather than enforced.
     """
-    data = schur_complement(m, inner_idx, check_det=False)
-    m = np.asarray(m)
-    b = m[np.ix_(data.inner_idx, data.keep_idx)]
-    c = m[np.ix_(data.keep_idx, data.inner_idx)]
-    s_inv = two_norm(np.linalg.inv(data.s_matrix))
+    s_inv = two_norm(np.linalg.inv(schur.s_matrix))
     m_inv = two_norm(np.linalg.inv(m))
-    a_inv = two_norm(data.a_inverse)
-    b_n, c_n = two_norm(b), two_norm(c)
+    a_inv = two_norm(schur.a_inverse)
+    b_n, c_n = two_norm(schur.b_block), two_norm(schur.c_block)
     upper = 4.0 * (1.0 + a_inv) ** 2 * (1.0 + s_inv)
-    applicable = b_n <= 1.0 + 1e-12 and c_n <= 1.0 + 1e-12
-    tol = 1e-9 * max(1.0, m_inv)
+    applicable = (b_n <= 1.0 + 1e-12) & (c_n <= 1.0 + 1e-12)
+    tol = 1e-9 * np.maximum(1.0, m_inv)
     return SandwichReport(s_inv, m_inv, a_inv, b_n, c_n, upper, applicable,
                           s_inv <= m_inv + tol,
-                          (not applicable) or m_inv < upper + tol)
+                          ~applicable | (m_inv < upper + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -224,66 +224,63 @@ def sandwich_check(m: np.ndarray, inner_idx) -> SandwichReport:
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
-    """Exact-ish adjugate by cofactor expansion; intended for small n."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=m.dtype)
-    adj = np.empty_like(m)
-    rows = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            minor = m[np.ix_(rows != j, rows != i)]
-            adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
+    """Adjugate of each matrix in a stack, from one SVD.
+
+    With ``M = U diag(s) V^H``, ``adj M = det U det V^H V diag(c) U^H`` where
+    ``c_i`` is the product of the ``s_j`` with ``j != i`` (Stewart, *On the
+    adjugate matrix*, Linear Algebra Appl. 283, 1998), formed from prefix
+    and suffix products without division, so a singular M needs no care.
+    """
+    u, s, vh = np.linalg.svd(np.asarray(m))
+    one = np.ones_like(s[..., :1])
+    before = np.cumprod(np.concatenate([one, s[..., :-1]], -1), -1)
+    after = np.cumprod(np.concatenate([one, s[..., :0:-1]], -1), -1)[..., ::-1]
+    phase = np.linalg.det(u) * np.linalg.det(vh)
+    v = vh.conj().swapaxes(-2, -1)
+    return (phase[..., None, None] * v * (before * after)[..., None, :]
+            ) @ u.conj().swapaxes(-2, -1)
 
 
 @dataclass(frozen=True)
 class HadamardReport:
-    entry_bound: float
-    norm_bound: float
-    row_sum: float
-    exact_max: float | None
-    holds: bool
+    entry_bound: np.ndarray
+    norm_bound: np.ndarray
+    row_sum: np.ndarray
+    exact_max: np.ndarray
+    holds: np.ndarray
 
 
 def hadamard_adjugate_check(m: np.ndarray) -> HadamardReport:
     """Adjugate entries are bounded by (max row l1 sum)^(n-1).
 
-    For n up to 8 the adjugate is computed exactly and compared; beyond
-    that only the bounds are reported (the inequality is a theorem, the
-    check exists to catch implementation drift).
+    The adjugate is computed for every size and compared (the inequality is
+    a theorem, the check exists to catch implementation drift).
     """
     m = np.asarray(m)
-    n = m.shape[0]
-    row = float(np.max(np.sum(np.abs(m), axis=1)))
+    n = m.shape[-1]
+    row = np.abs(m).sum(axis=-1).max(axis=-1)
     entry_bound = row ** (n - 1)
-    norm_bound = n * entry_bound
-    exact = None
-    holds = True
-    if n <= 8:
-        exact = float(np.max(np.abs(adjugate(m))))
-        holds = exact <= entry_bound * (1.0 + 1e-9) + 1e-300
-    return HadamardReport(entry_bound, norm_bound, row, exact, holds)
+    exact = np.abs(adjugate(m)).max(axis=(-2, -1))
+    return HadamardReport(entry_bound, n * entry_bound, row, exact,
+                          exact <= entry_bound * (1.0 + 1e-9) + 1e-300)
 
 
 @dataclass(frozen=True)
 class DetPerturbReport:
-    lhs: float
-    bound: float
-    m_row: float
-    eps_row: float
-    holds: bool
+    lhs: np.ndarray
+    bound: np.ndarray
+    m_row: np.ndarray
+    eps_row: np.ndarray
+    holds: np.ndarray
 
 
 def det_perturbation_check(a: np.ndarray, b: np.ndarray) -> DetPerturbReport:
     """``|det(A+B) - det A| <= eps n^2 (M + eps)^(n-1)`` with row-sum M, eps."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[0]
-    m_row = float(np.max(np.sum(np.abs(a), axis=1)))
-    eps_row = float(np.max(np.sum(np.abs(b), axis=1)))
-    lhs = float(abs(np.linalg.det(a + b) - np.linalg.det(a)))
+    a, b = np.asarray(a), np.asarray(b)
+    n = a.shape[-1]
+    m_row = np.abs(a).sum(axis=-1).max(axis=-1)
+    eps_row = np.abs(b).sum(axis=-1).max(axis=-1)
+    lhs = np.abs(np.linalg.det(a + b) - np.linalg.det(a))
     bound = eps_row * n ** 2 * (m_row + eps_row) ** (n - 1)
     return DetPerturbReport(lhs, bound, m_row, eps_row,
                             lhs <= bound * (1.0 + 1e-9) + 1e-300)

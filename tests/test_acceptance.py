@@ -43,7 +43,6 @@ from qplab import (
     solve_phase_for_energy,
     time_avg_moment,
     track_theta,
-    two_norm,
     verify_block_family,
 )
 from qplab.model import toeplitz_block
@@ -314,7 +313,7 @@ def test_criterion_03_zero_good_boxes(weak_model, golden_frequency,
         kept += 1
         rest = assemble_restriction(weak_model, win, complex(th), energy)
         g = green_solve(rest.matrix)
-        nrm = two_norm(g.matrix)
+        nrm = g.op_norm
         worst_norm = max(worst_norm, nrm)
         if nrm > bound:
             bad_norm += 1

@@ -689,6 +689,24 @@ def test_main_verify_lemmas_needs_no_config(tmp_path, capsys):
     assert "verify-lemmas: 1 pass" in capsys.readouterr().out
 
 
+def test_verify_lemmas_counts_a_planted_extract_violation(
+        tmp_path, monkeypatch, capsys):
+    # a bound above log^rho(1 + x - y) is a counted violation, a fail row
+    # with exit code 1, not an error row
+    real = cli.extract_lower_bound
+
+    def planted(x, y, rho):
+        bound = real(x, y, rho)
+        bound[:3] = np.log1p(x[:3] - y[:3]) ** rho * 1.01
+        return bound
+    monkeypatch.setattr(cli, "extract_lower_bound", planted)
+    rc = main(["verify-lemmas", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "verify-lemmas: 0 pass, 1 fail" in capsys.readouterr().out
+    rows = (tmp_path / "out" / "suites_000.csv").read_text().splitlines()
+    assert "extract,200,3,false" in rows
+
+
 def test_main_requires_config_for_other_kinds(tmp_path, capsys):
     rc = main(["green", "--out", str(tmp_path / "out")])
     assert rc == 2

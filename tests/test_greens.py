@@ -167,7 +167,6 @@ def test_schur_block_of_inverse():
         np.linalg.inv(data.s_matrix), atol=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_schur_rejects_singular_inner_block():
     m = np.eye(4)
     m[0, 0] = m[1, 1] = 0.0
@@ -185,7 +184,7 @@ def test_sandwich_check_random_family():
         m = _random_complex(rng, n)
         m = m / max(1.0, two_norm(m)) + 3.0 * np.eye(n)
         k = int(rng.integers(1, n))
-        rep = sandwich_check(m, list(range(k)))
+        rep = sandwich_check(m, schur_complement(m, list(range(k))))
         assert rep.lower_holds and rep.upper_holds
         assert rep.s_inv_norm <= rep.m_inv_norm + 1e-6
         if rep.upper_applicable:
@@ -194,7 +193,7 @@ def test_sandwich_check_random_family():
 
 def test_sandwich_upper_gated_on_contractions():
     m = np.array([[4.0, 3.5], [3.5, 4.0]])
-    rep = sandwich_check(m, [0])
+    rep = sandwich_check(m, schur_complement(m, [0]))
     assert not rep.upper_applicable
     assert rep.upper_holds  # vacuously
     assert rep.b_norm == pytest.approx(3.5)
@@ -219,16 +218,99 @@ def test_adjugate_identity(m):
     np.testing.assert_allclose(lhs, det * np.eye(4), atol=1e-8)
 
 
+def _cofactor_adjugate(m):
+    """Adjugate by cofactor expansion, the textbook definition."""
+    n = m.shape[0]
+    if n == 1:
+        return np.ones((1, 1), dtype=m.dtype)
+    adj = np.empty_like(m)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
+            # det divides by zero inside LAPACK on a singular minor
+            with np.errstate(divide="ignore", invalid="ignore"):
+                adj[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def _draw_stack(rng, batch, n, rank_deficient):
+    """Complex matrices; the flagged ones have rank at most n - 1 or n - 2."""
+    m = _random_complex(rng, int(np.prod(batch)) * n, n).reshape(
+        batch + (n, n))
+    flat = m.reshape(-1, n, n)
+    for i in np.flatnonzero(rank_deficient.ravel()):
+        r = max(0, n - 1 - i % 2)
+        flat[i] = _random_complex(rng, n, r) @ _random_complex(rng, r, n)
+    return m
+
+
+def _assert_fields_match(stacked, single, index):
+    for name in stacked.__dataclass_fields__:
+        got, want = getattr(stacked, name), getattr(single, name)
+        if name in ("inner_idx", "keep_idx"):
+            np.testing.assert_array_equal(got, want)
+            continue
+        got = np.asarray(got)[index]
+        if got.dtype == bool:
+            assert got == want, name
+        else:
+            # the determinant defect is itself a rounding residual
+            atol = 1e-14 if name == "det_defect" else 1e-300
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol,
+                                       err_msg=name)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7),
+       st.sampled_from([(5,), (2, 3), (1,)]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_checks_match_one_at_a_time(seed, n, batch):
+    rng = np.random.default_rng(seed)
+    deficient = rng.random(batch) < 0.4
+    m = _draw_stack(rng, batch, n, deficient)
+    scale = 10.0 ** rng.uniform(-2, 2, batch + (1, 1))
+    m = m * scale
+    adj = adjugate(m)
+    hadamard = hadamard_adjugate_check(m)
+    perturb = det_perturbation_check(m, 1e-3 * m[::-1])
+    norms = two_norm(m)
+    # a dominant diagonal keeps every eliminated block regular
+    weight = np.abs(m).sum(axis=(-2, -1), keepdims=True) + 1e-300
+    dominant = m / weight + 2.0 * np.eye(n)
+    if n > 1:
+        inner = rng.permutation(n)[:int(rng.integers(1, n))]
+        schur = schur_complement(dominant, inner)
+        sandwich = sandwich_check(dominant, schur)
+    for index in np.ndindex(batch):
+        one = m[index]
+        scale_one = max(1.0, float(np.abs(one).max())) ** max(n - 1, 1)
+        np.testing.assert_allclose(adj[index], _cofactor_adjugate(one),
+                                   rtol=1e-9, atol=1e-11 * scale_one)
+        np.testing.assert_allclose(adj[index], adjugate(one), rtol=1e-12,
+                                   atol=1e-14 * scale_one)
+        assert norms[index] == pytest.approx(two_norm(one), rel=1e-12)
+        _assert_fields_match(hadamard, hadamard_adjugate_check(one), index)
+        _assert_fields_match(perturb, det_perturbation_check(
+            one, 1e-3 * m[::-1][index]), index)
+        if n > 1:
+            single = schur_complement(dominant[index], inner)
+            _assert_fields_match(schur, single, index)
+            _assert_fields_match(sandwich, sandwich_check(dominant[index],
+                                                          single), index)
+
+
 def test_hadamard_bound_modes():
     rng = np.random.default_rng(5)
     small = _random_complex(rng, 6)
     rep = hadamard_adjugate_check(small)
-    assert rep.holds and rep.exact_max is not None
+    assert rep.holds
     assert rep.exact_max <= rep.entry_bound * (1 + 1e-9)
     assert rep.norm_bound == pytest.approx(6 * rep.entry_bound)
+    # every size is checked, n = 10 included
     big = _random_complex(rng, 10)
     rep_big = hadamard_adjugate_check(big)
-    assert rep_big.exact_max is None and rep_big.holds
+    assert rep_big.holds
+    assert rep_big.exact_max == pytest.approx(
+        np.abs(_cofactor_adjugate(big)).max(), rel=1e-12)
 
 
 def test_det_perturbation_known_case():
