@@ -56,6 +56,7 @@ bundle contents, only speed.  ``--jobs N`` runs N points at a time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -309,17 +310,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         freq = (FrequencyVector.golden(tau=tau, gamma=gamma)
                 if omega == "golden"
                 else FrequencyVector(tuple(map(float, omega)), tau, gamma))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(PotentialSpec.cosine(strip=strip, beta=beta),
-                              HoppingKernel.saturating(alpha, rho), freq,
-                              eps, eps0=eps0, rho_prime=rho_prime)
+        model = ModelSpec(PotentialSpec.cosine(strip=strip, beta=beta),
+                          HoppingKernel.saturating(alpha, rho), freq, eps,
+                          eps0=eps0, rho_prime=rho_prime)
     except ValueError as exc:
         raise ConfigInvalid(str(exc), field="model") from exc
-    if abs(eps) > eps0:
-        warnings.warn(
-            f"|eps| = {abs(eps)} exceeds eps0 = {eps0}; results leave the "
-            "guaranteed regime", stacklevel=2)
 
     schedule = None
     if kind in ("green", "msa", "dynamics"):
@@ -464,23 +459,30 @@ def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
     """The eigendecomposition of ``H(theta)`` on ``box``, from disk if stored.
 
     A miss computes it and stores it atomically; nothing stays in memory.
+    Only models of the built-in kinds use the disk: ``cache_key`` holds
+    every number that defines them, but not a user callable.
     """
+    if (model.potential.kind, model.hopping.kind) != ("cosine", "saturating"):
+        return evolve_amplitudes(model, box, theta)
     disk_dir = _cache_dir()
     path = os.path.join(disk_dir, cache_key(model, box, theta) + ".npz")
     ev = _disk_load(path, box)
     if ev is not None:
         return ev
     ev = evolve_amplitudes(model, box, theta)
-    try:
+    # a store that fails costs the entry, never the result
+    with contextlib.suppress(OSError):
         os.makedirs(disk_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=disk_dir, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, sites=ev.sites, eigvals=ev.eigvals,
-                     eigvecs=ev.eigvecs, origin_idx=ev.origin_idx,
-                     weights0=ev.weights0, dists=ev.dists)
-        os.replace(tmp, path)
-    except OSError:
-        pass
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, sites=ev.sites, eigvals=ev.eigvals,
+                         eigvecs=ev.eigvecs, origin_idx=ev.origin_idx,
+                         weights0=ev.weights0, dists=ev.dists)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return ev
 
 
@@ -608,29 +610,18 @@ def _run_msa(cfg: ExperimentConfig, point: dict) -> PointResult:
     table.rows.append((0, "", "", float(res0.theta_s.real),
                        float(res0.theta_s.imag), len(res0.q2), 0, 0, 0,
                        0.0, 0.0, 0, 0, True))
-    for s in range(1, run.depth + 1):
-        sd = run.scales[s]
+    for sd in run.scales[1:]:
         fam, step = sd.family, sd.theta_step
-        case = run.scales[s - 1].case_to_next
-        shift = "" if step is None or step.l is None else \
-            ";".join(str(int(v)) for v in step.l)
-        if step is None:
-            ok = True
-            dev = dev_bound = 0.0
-            wind = det_v = 0
-        else:
-            ok = step.deviation_ok and step.det_violations == 0
-            dev, dev_bound = step.deviation, step.deviation_bound
-            wind, det_v = step.winding_total, step.det_violations
+        shift = "" if step.l is None else ";".join(str(int(v)) for v in step.l)
+        ok = step.deviation_ok and step.det_violations == 0
         n_fail += 0 if ok else 1
-        table.rows.append((s, case.case if case else "", shift,
-                           float(sd.res.theta_s.real),
+        table.rows.append((sd.s, step.case, shift, float(sd.res.theta_s.real),
                            float(sd.res.theta_s.imag), len(sd.res.q2),
-                           len(fam.centers2) if fam is not None else 0,
-                           fam.realized_pad if fam is not None else 0,
-                           fam.declared_pad if fam is not None else 0,
-                           float(dev), float(dev_bound), int(wind),
-                           int(det_v), ok))
+                           len(fam.centers2), fam.realized_pad,
+                           fam.declared_pad, float(step.deviation),
+                           float(step.deviation_bound),
+                           int(step.winding_total), int(step.det_violations),
+                           ok))
     res = _status(n_fail, len(table.rows),
                   f"reached scale {run.depth} of {cfg.s_target}"
                   if run.depth < cfg.s_target else "")

@@ -35,12 +35,14 @@ from .lattice import (
     site_index,
 )
 from .model import (
+    FrequencyVector,
     ModelSpec,
     assemble_t_matrix,
     is_hermitian,
     log_decay_envelope,
 )
 from .msa import MsaRun, deformation_levels
+from .torus import torus_norm
 
 # the eigenvector modulus at or below which a profile fit drops a site
 PROFILE_FLOOR = 1e-14
@@ -447,30 +449,26 @@ class ArithmeticReport:
         return len(self.violations)
 
 
-def arithmetic_phase_test(theta: float, freq, n_max: int,
-                          tau: float | None = None) -> ArithmeticReport:
+def arithmetic_phase_test(theta: float, freq: FrequencyVector,
+                          n_max: int) -> ArithmeticReport:
     """Exhaustive scan for doubled-phase resonances ``||2 theta + n.omega||``.
 
-    A site violates when the doubled phase beats ``||n||^-tau``; for the
-    zero phase with the golden frequency and tau = 2 exactly the first two
-    integers violate, which is the classic arithmetic obstruction profile.
+    A site violates when the doubled phase beats ``||n||^-tau`` with the
+    frequency's own ``tau``; for the zero phase with the golden frequency
+    and tau = 2 exactly the first two integers violate, which is the
+    classic arithmetic obstruction profile.
     """
-    omega = freq.array() if hasattr(freq, "array") else \
-        np.atleast_1d(np.asarray(freq, dtype=float))
-    tau = float(tau if tau is not None else getattr(freq, "tau", 2.0))
-    d = omega.size
-    if d == 1:
+    if freq.dim == 1:
         sites = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
     else:
-        sites = box_around(np.zeros(d), n_max).sites
+        sites = box_around(np.zeros(freq.dim), n_max).sites
         sites = sites[np.max(np.abs(sites), axis=1) > 0]
-    from .torus import torus_norm as _tn
-
     norms = np.max(np.abs(sites), axis=1).astype(float)
-    resid = _tn(2.0 * theta + sites @ omega)
-    margin = resid * norms ** tau
+    margin = (torus_norm(2.0 * theta + sites @ freq.array())
+              * norms ** freq.tau)
     bad = margin < 1.0
     order = np.lexsort((norms[bad],))
     viol = tuple(tuple(int(v) for v in row)
                  for row in sites[bad][order])
-    return ArithmeticReport(int(n_max), tau, viol, float(np.min(margin)))
+    return ArithmeticReport(int(n_max), float(freq.tau), viol,
+                            float(np.min(margin)))

@@ -28,7 +28,7 @@ from .errors import (
     NotHermitian,
     Singular,
 )
-from .lattice import pairwise_sup_dist, symmetric_about_origin
+from .lattice import as_sites, pairwise_sup_dist, symmetric_about_origin
 from .model import assemble_t_matrix, is_hermitian, log_decay_envelope
 
 LOG2 = float(np.log(2.0))
@@ -414,10 +414,7 @@ def determinant_evenness_check(model, sites, z: complex,
     at the antipodal pair otherwise.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    s2 = np.rint(2.0 * sites).astype(np.int64)
-    if np.max(np.abs(2.0 * sites - s2)) > 1e-9:
-        raise ValueError("sites must lie on the half-integer lattice")
-    if not symmetric_about_origin(s2):
+    if not symmetric_about_origin(as_sites(2.0 * sites)):
         raise AsymmetricBox("site set is not symmetric about the origin")
     det = {}
     for sgn in (1.0, -1.0):

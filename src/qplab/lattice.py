@@ -15,12 +15,12 @@ The helpers are unit-agnostic: they work equally on plain sites and on
 doubled half-lattice coordinates, as long as both arguments use the same
 convention.
 
-One fixpoint, ``_absorb``, adjoins tiles to a set, with two triggers:
-block construction in ``qplab.msa`` absorbs a lower-scale enlarged block
-when the block itself meets the set (intersection trigger), and
-``regular_deformation`` absorbs one when the box of its test radius meets
-the set (neighbourhood trigger).  The closure checkers test the
-intersection clause through a separate witness, ``_first_cut``.
+One fixpoint, ``_Tiles.absorb``, adjoins tiles to a set, with two
+triggers: block construction in ``qplab.msa`` absorbs a lower-scale
+enlarged block when the block itself meets the set (intersection trigger),
+and ``regular_deformation`` absorbs one when the box of its test radius
+meets the set (neighbourhood trigger).  The closure checkers test the
+intersection clause through a separate witness, ``_Tiles.first_cut``.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    NonConvergence,
-    PreconditionViolated,
-    SizeOverflow,
-    TailNotSmall,
-)
+from .errors import PreconditionViolated, SizeOverflow, TailNotSmall
 
 DEFAULT_SITE_CAP = 2_000_000
 
@@ -46,10 +41,7 @@ def _center2_from(center) -> tuple[int, ...]:
     arr = np.atleast_1d(np.asarray(center, dtype=float))
     if arr.ndim != 1:
         raise ValueError("box center must be a scalar or a flat vector")
-    doubled = np.rint(2.0 * arr)
-    if np.max(np.abs(2.0 * arr - doubled)) > 1e-9:
-        raise ValueError("box center must lie on the half-integer lattice")
-    return tuple(int(v) for v in doubled)
+    return tuple(as_sites(2.0 * arr).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -513,17 +505,16 @@ class DeformationLevel:
 
     ``blocks`` maps half-lattice centers (doubled integers) to integer site
     arrays.  ``test_reach2`` is the doubled radius of the neighborhood whose
-    intersection with the working set triggers absorption; ``None`` uses each
-    block's realized enlarged radius, which always covers the block itself.
+    intersection with the working set triggers absorption.
     """
 
     scale: int
     blocks: tuple
-    test_reach2: int | None = None
+    test_reach2: int
 
 
 def deformation_level(scale: int, blocks: Mapping | Iterable,
-                      test_radius: float | None = None) -> DeformationLevel:
+                      test_radius: float) -> DeformationLevel:
     """A level from ``{center: sites}`` or ``(center, sites)`` pairs.
 
     Centers are the blocks' true half-lattice centers (not doubled keys);
@@ -534,10 +525,8 @@ def deformation_level(scale: int, blocks: Mapping | Iterable,
     for center, sites in items:
         packed.append((_center2_from(center), canonical_sites(sites)))
     packed.sort(key=lambda kv: kv[0])
-    reach2 = None
-    if test_radius is not None:
-        reach2 = int(math.floor(2.0 * float(test_radius)))
-    return DeformationLevel(int(scale), tuple(packed), reach2)
+    return DeformationLevel(int(scale), tuple(packed),
+                            int(math.floor(2.0 * float(test_radius))))
 
 
 @dataclass(frozen=True)
@@ -549,11 +538,6 @@ class DeformationReport:
     final_size: int
 
 
-def _block_reach2(center2, sites) -> int:
-    c2 = np.asarray(center2, dtype=np.int64)
-    return int(np.max(np.abs(2 * as_sites(sites) - c2)))
-
-
 class _Tiles:
     """Tiles, and the triggers that adjoin them, keyed once on one frame.
 
@@ -561,6 +545,18 @@ class _Tiles:
     none of them, so a set splits into the keys of its rows inside and the
     rows outside, which no step touches.  Key ``j`` belongs to tile
     ``owner[j]``; without triggers every tile is its own trigger.
+
+    The two closure callers use different triggers.  ``construct_blocks``
+    passes none (intersection trigger: a lower-scale enlarged block that
+    meets a block is swallowed).  ``regular_deformation`` passes the box of
+    each block's test radius around its center (neighbourhood trigger).
+    When the test radius reaches the block's realized radius, as it does in
+    the levels ``deformation_levels`` builds, that box covers the block:
+    the neighbourhood closure then also satisfies the intersection clause,
+    and may absorb blocks that only come near the set.  Both checkers test
+    the intersection clause alone, through ``first_cut``.  Whether the
+    paper means the two rules to differ is open: ``PAPER.md`` holds only
+    the abstract, which does not state the absorption rules.
     """
 
     def __init__(self, tiles: Sequence, triggers: Sequence | None = None):
@@ -578,15 +574,27 @@ class _Tiles:
         return (self.frame.keys(np.concatenate(arrays)),
                 np.repeat(np.arange(len(arrays)), sizes))
 
-    def absorb(self, sites, max_rounds: int):
-        """``_absorb`` with these tiles and triggers."""
+    def absorb(self, sites):
+        """Least superset of ``sites`` that holds every tile whose trigger
+        meets it.
+
+        A round tests every tile not yet taken against the set as it stood
+        when the round began, so the closure does not depend on the order of
+        the tiles; that order only orders the taken indices within a round.
+        Every round but the last takes a tile, so the fixpoint is reached
+        within ``len(tiles) + 1`` rounds.
+
+        Returns the closed canonical set, the indices of the taken tiles in
+        the order taken, and the number of rounds including the last, which
+        adds no site.
+        """
         seed = as_sites(sites)
         if self.frame is None or seed.shape[0] == 0:
             return canonical_sites(seed), [], 1
         current, outside = self.frame.split(seed)
         current, taken = _distinct(current), []
         free = np.ones(self.sizes.size, dtype=bool)
-        for rounds in range(1, max_rounds + 1):
+        for rounds in range(1, self.sizes.size + 2):
             hit = free & (np.bincount(self.trig_owner[_member(
                 self.trig_keys, current)], minlength=free.size) > 0)
             free &= ~hit
@@ -594,17 +602,18 @@ class _Tiles:
             grown = _distinct(np.concatenate([current,
                                               self.keys[hit[self.owner]]]))
             if grown.size == current.size:
-                closed = self.frame.sites(current)
-                return (canonical_sites(np.concatenate([closed, outside]))
-                        if outside.shape[0] else closed), taken, rounds
+                break
             current = grown
-        raise NonConvergence(
-            f"absorption did not stabilize in {max_rounds} rounds")
+        closed = self.frame.sites(current)
+        return (canonical_sites(np.concatenate([closed, outside]))
+                if outside.shape[0] else closed), taken, rounds
 
     def first_cut(self, sites) -> int | None:
-        """``_first_cut`` with these tiles.  One membership pass counts the
-        rows of each tile in the set: the tile meets the set when its count
-        is positive and lies inside when the count is its row count."""
+        """Index of the first tile that meets ``sites`` without lying inside
+        it, or None: the closure witness, which shares the keys of
+        ``absorb`` but not its fixpoint loop.  One membership pass counts
+        the rows of each tile in the set: the tile meets the set when its
+        count is positive and lies inside when the count is its row count."""
         arr = as_sites(sites)
         if self.frame is None or arr.shape[0] == 0:
             return None
@@ -615,40 +624,6 @@ class _Tiles:
         return int(cut[0]) if cut.size else None
 
 
-def _absorb(sites, tiles: Sequence, triggers: Sequence, max_rounds: int):
-    """Least superset of ``sites`` that holds every tile whose trigger meets it.
-
-    ``tiles[i]`` is adjoined once ``triggers[i]`` meets the current set.  A
-    round tests every tile not yet taken against the set as it stood when
-    the round began, so the closure does not depend on the order of the
-    tiles; that order only orders the taken indices within a round.
-
-    The two callers use different triggers.  ``construct_blocks`` passes
-    the tiles themselves (intersection trigger: a lower-scale enlarged block
-    that meets a block is swallowed).  ``regular_deformation`` passes the
-    box of each block's test radius around its center (neighbourhood
-    trigger).  When the test radius reaches the block's realized radius, as
-    it does by default and in the levels ``deformation_levels`` builds, that
-    box covers the block: the neighbourhood closure then also satisfies the
-    intersection clause, and may absorb blocks that only come near the set.
-    Both checkers test the intersection clause alone.  Whether the paper
-    means the two rules to differ is open: ``PAPER.md`` holds only the
-    abstract, which does not state the absorption rules.
-
-    Returns the closed canonical set, the indices of the taken tiles in the
-    order taken, and the number of rounds including the last, which adds no
-    site.  Raises NonConvergence past ``max_rounds`` rounds.
-    """
-    return _Tiles(tiles, triggers).absorb(sites, max_rounds)
-
-
-def _first_cut(sites, tiles: Sequence) -> int | None:
-    """Index of the first tile that meets ``sites`` without lying inside it,
-    or None.  The closure witness: it shares the keys of ``_Tiles`` but
-    not the fixpoint loop of ``_absorb``."""
-    return _Tiles(tiles).first_cut(sites)
-
-
 def _by_scale(levels: Sequence[DeformationLevel]) -> list:
     """(level, center2, sites) for every block, highest scale first."""
     return [(level, center2, sites)
@@ -656,8 +631,7 @@ def _by_scale(levels: Sequence[DeformationLevel]) -> list:
             for center2, sites in level.blocks]
 
 
-def regular_deformation(seed, levels: Sequence[DeformationLevel], *,
-                        max_rounds: int = 64):
+def regular_deformation(seed, levels: Sequence[DeformationLevel]):
     """Close a site set under enlarged-block absorption across all scales.
 
     Starting from the seed set, a block is adjoined whenever the box of its
@@ -670,11 +644,10 @@ def regular_deformation(seed, levels: Sequence[DeformationLevel], *,
     """
     seed_arr = canonical_sites(seed)
     blocks = _by_scale(levels)
-    triggers = [LatticeBox(c2, (lev.test_reach2 if lev.test_reach2 is not None
-                                else _block_reach2(c2, sites)) / 2.0)
-                for lev, c2, sites in blocks]
-    out, taken, passes = _absorb(seed_arr, [b[2] for b in blocks], triggers,
-                                 max_rounds)
+    triggers = [LatticeBox(c2, lev.test_reach2 / 2.0)
+                for lev, c2, _ in blocks]
+    out, taken, passes = _Tiles([b[2] for b in blocks],
+                                triggers).absorb(seed_arr)
     if out.shape[0] and seed_arr.shape[0]:
         chunk = np.abs(out[:, None, :] - seed_arr[None, :, :]).max(axis=2)
         pad = float(chunk.min(axis=1).max())
@@ -690,7 +663,7 @@ def regularity_witness(sites, levels: Sequence[DeformationLevel]):
     """Independent closure predicate: the first block that meets the set
     without being contained, or None when the set is regular."""
     blocks = _by_scale(levels)
-    i = _first_cut(sites, [sites_b for _, _, sites_b in blocks])
+    i = _Tiles([sites_b for _, _, sites_b in blocks]).first_cut(sites)
     return None if i is None else (blocks[i][0].scale, blocks[i][1])
 
 

@@ -26,8 +26,8 @@ from .errors import (
     NotHermitian,
     OutOfStrip,
 )
-from .lattice import LatticeBox, box_around
-from .torus import torus_norm, wrap_to_unit
+from .lattice import LatticeBox, as_sites, box_around
+from .torus import canonical_root, torus_norm, wrap_to_unit
 
 TWO_PI = 2.0 * math.pi
 # largest ``|v(theta0) - E|`` that ``EnergyPoint.at`` accepts
@@ -139,12 +139,7 @@ def solve_phase_for_energy(spec: PotentialSpec, energy) -> complex:
             theta -= step
             if abs(step) < 1e-14:
                 break
-    theta = complex(wrap_to_unit(theta))
-    if theta.real > 0.5 + 1e-12:
-        theta = complex(wrap_to_unit(-theta))
-    if abs(theta.real) < 1e-12 or abs(theta.real - 0.5) < 1e-12:
-        theta = complex(theta.real, abs(theta.imag))
-    return theta
+    return canonical_root(complex(theta))
 
 
 @dataclass(frozen=True)
@@ -439,9 +434,7 @@ def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray) -> np.ndarray:
     n, d = sites.shape
     lo = sites.min(axis=0)
     ext = (sites.max(axis=0) - lo).astype(np.int64)
-    q = np.rint(sites - lo).astype(np.int64)
-    if np.max(np.abs((sites - lo) - q)) > 1e-9:
-        raise ValueError("pairwise site differences must be integers")
+    q = as_sites(sites - lo)
     shape = tuple(int(2 * e + 1) for e in ext)
     axes = [np.arange(-e, e + 1, dtype=np.int64) for e in ext]
     mesh = np.meshgrid(*axes, indexing="ij")

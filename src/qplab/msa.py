@@ -58,7 +58,12 @@ from .model import (
     solve_phase_for_energy,
     toeplitz_block,
 )
-from .torus import log_torus_norm, torus_norm, wrap_to_symmetric
+from .torus import (
+    canonical_root,
+    log_torus_norm,
+    torus_norm,
+    wrap_to_symmetric,
+)
 
 MAX_EXP = 700.0
 # absorb-and-symmetrize rounds before ``construct_blocks`` gives up
@@ -423,9 +428,8 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                     f"block around {tuple(c / 2 for c in key)} "
                     "escapes the working window; enlarge it")
         for _ in range(BLOCK_MAX_ROUNDS):
-            # a round that takes no tile ends the absorption
-            grown = [2 * lower_tiles.absorb(blk, lower_tiles.sizes.size + 1)[0]
-                     - np.asarray(key) for key, blk in blocks.items()]
+            grown = [2 * lower_tiles.absorb(blk)[0] - np.asarray(key)
+                     for key, blk in blocks.items()]
             template = set_union(*grown, *(-g for g in grown))
             uni = {key: (template + np.asarray(key)) // 2 for key in keys}
             if not all(window.contains_sites(b).all() for b in uni.values()):
@@ -630,26 +634,6 @@ class ThetaStep:
     det_checked: int
     det_violations: int
     newton_iters: int
-
-
-def canonical_root(z: complex) -> complex:
-    """Representative of the root pair {z, -z} mod 1: Re in [0, 1/2].
-
-    The real part is reduced exactly and snapped to 0 or 1/2 within
-    ``2**-40`` (about 9.1e-13) before the sign of Im is fixed on those
-    seams.  Rounding ``z + 1`` still moves Re by up to ~4e-16, so inputs
-    that close to the snap edge can land on opposite sides; a power of two
-    keeps decimal inputs such as 1e-12 or 0.5 - 1e-12 off that edge.
-    """
-    re = z.real - round(z.real)
-    if abs(re) < 2.0 ** -40:
-        re = 0.0
-    elif abs(abs(re) - 0.5) < 2.0 ** -40:
-        re = 0.5
-    z = complex(re, z.imag) if re >= 0.0 else complex(-re, -z.imag)
-    if z.real in (0.0, 0.5) and z.imag < 0.0:
-        z = z.conjugate()
-    return z
 
 
 class _SchurDet:
@@ -956,8 +940,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
 
 
 def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
-                  schedule: ScaleSchedule, s_target: int, *,
-                  track: bool = True) -> MsaRun:
+                  schedule: ScaleSchedule, s_target: int) -> MsaRun:
     """Run the ladder from scale 0 up to ``s_target`` inside one window.
 
     Stops early (with fewer recorded scales) when the resonance set empties
@@ -1004,20 +987,12 @@ def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
             cores = {k: v for k, v in cores.items() if k in kept}
         if p_next2.shape[0] == 0:
             break
-        lower = [sd.family for sd in run.scales[1:] if sd.family is not None]
+        lower = [sd.family for sd in run.scales[1:]]
         family = construct_blocks(p_next2, cores, s + 1, case.case, offset2,
                                   schedule, lower, window)
-        if track:
-            step = track_theta(model, family, cur.res.theta_s, case,
-                               schedule, s + 1, e_val)
-            theta_next = step.theta
-        else:
-            step = None
-            shift = (0.0 if case.case == 1 else
-                     float(np.asarray(case.l, dtype=float)
-                           @ model.frequency.array()) / 2.0)
-            theta_next = canonical_root(complex(cur.res.theta_s) + shift)
-        res = detect_resonances(model, theta, s + 1, theta_next, schedule,
+        step = track_theta(model, family, cur.res.theta_s, case, schedule,
+                           s + 1, e_val)
+        res = detect_resonances(model, theta, s + 1, step.theta, schedule,
                                 p_next2, offset2)
         run.scales.append(ScaleData(s + 1, res, family, theta_step=step,
                                     edge_dropped=dropped))
@@ -1192,9 +1167,7 @@ def deformation_levels(run: MsaRun, s: int):
     """Deformation levels (descending scale) from the tracked block stack."""
     levels = []
     for sp in range(min(s, run.depth), 0, -1):
-        fam = run.scales[sp].family
-        if fam is None:
-            continue
+        fam = run.family(sp)
         blocks = [(np.asarray(key) / 2.0, fam.enlarged[key])
                   for key in fam.center_keys()]
         test_r = fam.radii[2] + fam.realized_pad

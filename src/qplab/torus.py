@@ -63,3 +63,24 @@ def wrap_to_symmetric(x):
         return complex(out) if out.ndim == 0 else out
     out = np.mod(x.astype(float, copy=False) + 0.5, 1.0) - 0.5
     return float(out) if out.ndim == 0 else out
+
+
+def canonical_root(z: complex) -> complex:
+    """Representative of the root pair {z, -z} mod 1: Re in [0, 1/2].
+
+    The real part is reduced exactly and snapped to 0 or 1/2 within
+    ``2**-40`` (about 9.1e-13) before the sign of Im is fixed on those
+    seams.  Rounding ``z + 1`` still moves Re by up to ~4e-16, so inputs
+    that close to the snap edge can land on opposite sides; a power of two
+    keeps decimal inputs such as 1e-12 or 0.5 - 1e-12 off that edge.  Zero
+    parts are unsigned, so one root never prints as both 0.0 and -0.0.
+    """
+    re = z.real - round(z.real)
+    if abs(re) < 2.0 ** -40:
+        re = 0.0
+    elif abs(abs(re) - 0.5) < 2.0 ** -40:
+        re = 0.5
+    z = complex(re, z.imag) if re >= 0.0 else complex(-re, -z.imag)
+    if z.real in (0.0, 0.5) and z.imag < 0.0:
+        z = z.conjugate()
+    return z + 0.0

@@ -103,8 +103,9 @@ def test_parse_config_eps0_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_config(make_raw("green", GREEN_PASS))
-    with pytest.warns(UserWarning, match="exceeds eps0"):
+    with pytest.warns(UserWarning, match="exceeds the declared") as rec:
         parse_config(make_raw("green", GREEN_PASS, model={"eps": 0.5}))
+    assert len(rec) == 1
 
 
 def test_parse_config_builds_model():
@@ -259,6 +260,48 @@ def test_eigendata_disk_layer(weak_model, tmp_path, monkeypatch):
     disk_file.write_bytes(b"this is not an npz archive")
     recovered = eigendata(weak_model, box, 0.3)
     np.testing.assert_allclose(recovered.eigvals, ev1.eigvals)
+
+
+def test_eigendata_failed_store_leaves_no_temp_file(weak_model, tmp_path,
+                                                     monkeypatch):
+    box = box_around(np.zeros(1), 6)
+
+    def savez_then(exc):
+        def savez(fh, **arrays):
+            fh.write(b"part of an archive")
+            raise exc
+        return savez
+
+    # a full disk costs the entry, not the result
+    monkeypatch.setattr(np, "savez", savez_then(OSError(28, "disk full")))
+    ev = eigendata(weak_model, box, 0.3)
+    want = evolve_amplitudes(weak_model, box, 0.3)
+    np.testing.assert_array_equal(ev.eigvals, want.eigvals)
+    np.testing.assert_array_equal(ev.eigvecs, want.eigvecs)
+    assert list((tmp_path / "eig-cache").iterdir()) == []
+    # any other failure propagates, and the temp file goes all the same
+    monkeypatch.setattr(np, "savez", savez_then(RuntimeError("planted")))
+    with pytest.raises(RuntimeError, match="planted"):
+        eigendata(weak_model, box, 0.3)
+    assert list((tmp_path / "eig-cache").iterdir()) == []
+
+
+def test_eigendata_keeps_user_kernels_off_disk(cosine_potential,
+                                               golden_frequency, tmp_path):
+    # cache_key cannot hash a callable, so two user kernels with the same
+    # alpha and rho would share an entry if one were written
+    base = HoppingKernel.saturating(1.0, 2.0).fn
+    box = box_around(np.zeros(1), 4)
+    evs = []
+    for scale in (0.5, 0.25):
+        kernel = HoppingKernel.from_callable(
+            1.0, 2.0, lambda d, c=scale: c * base(d))
+        model = ModelSpec(cosine_potential, kernel, golden_frequency, 1e-3)
+        evs.append(eigendata(model, box, 0.2))
+        np.testing.assert_array_equal(
+            evs[-1].eigvals, evolve_amplitudes(model, box, 0.2).eigvals)
+    assert not np.array_equal(evs[0].eigvals, evs[1].eigvals)
+    assert list((tmp_path / "eig-cache").glob("*")) == []
 
 
 def _bundle_bytes(path):

@@ -17,15 +17,9 @@ from qplab import (
     quasi_metric_defects,
     regular_deformation,
 )
-from qplab.errors import (
-    NonConvergence,
-    PreconditionViolated,
-    SizeOverflow,
-    TailNotSmall,
-)
+from qplab.errors import PreconditionViolated, SizeOverflow, TailNotSmall
 from qplab.lattice import (
-    _absorb,
-    _first_cut,
+    _Tiles,
     as_sites,
     canonical_sites,
     deformation_level,
@@ -182,7 +176,7 @@ def test_set_layer_matches_tuple_oracle(data):
     n = data.draw(st.integers(0, 4))
     tiles = [data.draw(_site_sets(dim)) for _ in range(n)]
     triggers = [data.draw(_site_sets(dim)) for _ in range(n)]
-    closed, taken, _ = _absorb(a, tiles, triggers, n + 1)
+    closed, taken, _ = _Tiles(tiles, triggers).absorb(a)
     want, took = set(ta), set()
     grew = True
     while grew:
@@ -196,17 +190,17 @@ def test_set_layer_matches_tuple_oracle(data):
     assert set(taken) == took
     cut = [i for i, t in enumerate(tiles)
            if _oracle(t) & ta and not _oracle(t) <= ta]
-    assert _first_cut(a, tiles) == (cut[0] if cut else None)
-    assert _first_cut(closed, [t for i, t in enumerate(tiles)
-                               if i in took]) is None
+    assert _Tiles(tiles).first_cut(a) == (cut[0] if cut else None)
+    assert _Tiles([t for i, t in enumerate(tiles)
+                   if i in took]).first_cut(closed) is None
 
     # permuting tiles and triggers together moves no site, take or cut
     perm = data.draw(st.permutations(range(n)))
-    closed_p, taken_p, _ = _absorb(a, [tiles[i] for i in perm],
-                                   [triggers[i] for i in perm], n + 1)
+    closed_p, taken_p, _ = _Tiles([tiles[i] for i in perm],
+                                  [triggers[i] for i in perm]).absorb(a)
     assert closed_p.tolist() == closed.tolist()
     assert {perm[j] for j in taken_p} == took
-    first_p = _first_cut(a, [tiles[i] for i in perm])
+    first_p = _Tiles([tiles[i] for i in perm]).first_cut(a)
     assert first_p == next((j for j, i in enumerate(perm) if i in cut), None)
 
 
@@ -220,11 +214,11 @@ def test_set_layer_survives_frames_past_int64():
                                   [[0, 0, 0], [3_000_000] * 3])
     np.testing.assert_array_equal(site_index(far + [[0, 0, 0]], far), [0])
     tiles = [[[0, 0, 0]] + far, [[3_000_000, 0, 3_000_000]]]
-    closed, taken, rounds = _absorb([[5, 5, 5], [0, 0, 0]], tiles, tiles, 3)
+    closed, taken, rounds = _Tiles(tiles).absorb([[5, 5, 5], [0, 0, 0]])
     np.testing.assert_array_equal(closed, [[0, 0, 0], [5, 5, 5]] + far)
     assert (taken, rounds) == ([0], 2)
-    assert _first_cut([[0, 0, 0], [5, 5, 5]], tiles) == 0
-    assert _first_cut(closed, tiles) is None
+    assert _Tiles(tiles).first_cut([[0, 0, 0], [5, 5, 5]]) == 0
+    assert _Tiles(tiles).first_cut(closed) is None
 
 
 def test_serialize_sites_is_sorted_json_ready():
@@ -352,7 +346,7 @@ def test_extract_lower_bound_preconditions():
 
 
 def test_deformation_no_trigger_leaves_seed():
-    level = deformation_level(1, {(5.0,): [[4], [5], [6]]})
+    level = deformation_level(1, {(5.0,): [[4], [5], [6]]}, 1.0)
     seed = [[0], [1], [2]]
     out, rep = regular_deformation(seed, [level])
     np.testing.assert_array_equal(out, as_sites(seed))
@@ -363,7 +357,7 @@ def test_deformation_no_trigger_leaves_seed():
 
 def test_deformation_absorbs_touching_block():
     level = deformation_level(1, {(3.0,): [[2], [3], [4]],
-                                  (6.0,): [[5], [6], [7]]})
+                                  (6.0,): [[5], [6], [7]]}, 1.0)
     out, rep = regular_deformation([[0], [1], [2]], [level])
     np.testing.assert_array_equal(out.ravel(), [0, 1, 2, 3, 4])
     assert rep.absorbed == ((1, (6,)),)
@@ -382,15 +376,19 @@ def test_deformation_cascades_across_scales():
     assert {k[0] for k in rep.absorbed} == {1, 2}
 
 
-def test_deformation_round_budget():
-    lev1 = deformation_level(1, {(1.5,): [[1], [2]]}, test_radius=2.0)
-    lev2 = deformation_level(2, {(5.0,): [[4], [5], [6]]}, test_radius=3.0)
-    with pytest.raises(NonConvergence):
-        regular_deformation([[0]], [lev1, lev2], max_rounds=1)
+def test_deformation_long_chain_closes():
+    # each round takes only the next block of the chain, so the fixpoint
+    # is reached on the 71st pass, past any fixed budget below that
+    level = deformation_level(1, {(2 * k + 1.5,): [[2 * k + 1], [2 * k + 2]]
+                                  for k in range(70)}, test_radius=1.5)
+    out, rep = regular_deformation([[0]], [level])
+    np.testing.assert_array_equal(out.ravel(), np.arange(141))
+    assert len(rep.absorbed) == 70 and rep.passes == 71
+    assert is_regular(out, [level])
 
 
 def test_regularity_witness_names_the_cut_block():
-    level = deformation_level(1, {(3.0,): [[2], [3], [4]]})
+    level = deformation_level(1, {(3.0,): [[2], [3], [4]]}, 1.0)
     assert regularity_witness([[0], [1], [2]], [level]) == (1, (6,))
     assert regularity_witness([[0], [1]], [level]) is None
     assert not is_regular([[2], [3]], [level])

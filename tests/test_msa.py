@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qplab import (
     FrequencyVector,
@@ -43,9 +41,8 @@ from qplab.msa import (
     _count_zeros,
     _sample_ring,
     _SchurDet,
-    canonical_root,
 )
-from qplab.torus import log_torus_norm, torus_norm
+from qplab.torus import canonical_root, log_torus_norm, torus_norm
 
 
 @pytest.fixture(scope="module")
@@ -326,29 +323,6 @@ def test_construct_blocks_core_guards(toy_schedule):
 
 # ---------------------------------------------------------------------------
 # root tracking
-
-
-def _same_root_pair(w, v) -> bool:
-    """Whether ``w`` and ``v`` name the same root pair {z, -z} mod 1."""
-    def red(u):
-        return complex(u.real - math.floor(u.real + 0.5), u.imag)
-    return min(abs(red(v - w)), abs(red(v + w))) <= 1e-11
-
-
-@given(st.floats(-3, 3, allow_nan=False), st.floats(-1, 1, allow_nan=False))
-@example(re=1e-12, im=-1.0)
-@example(re=9.094946017729283e-13, im=-1.0)
-@settings(max_examples=200, deadline=None)
-def test_canonical_root_properties(re, im):
-    # inputs at a snap seam may land on either representative of their
-    # pair, so the symmetries are checked on pair classes, not raw values
-    z = complex(re, im)
-    w = canonical_root(z)
-    assert 0.0 <= w.real <= 0.5
-    assert _same_root_pair(w, z)
-    assert _same_root_pair(canonical_root(-z), w)
-    assert _same_root_pair(canonical_root(z + 1.0), w)
-    assert canonical_root(w) == w
 
 
 def test_track_theta_case1_plant(planted_model, sched19):
@@ -651,8 +625,7 @@ def planted_run(planted_model, sched19):
     omega = planted_model.frequency.array()
     theta = _planted_theta(planted_model.potential, omega)
     win = box_around(np.zeros(1), 128)
-    return run_induction(planted_model, theta, 0.3, win, sched19, 1,
-                         track=False)
+    return run_induction(planted_model, theta, 0.3, win, sched19, 1)
 
 
 def test_check_good_carry_clause(planted_run):

@@ -1,13 +1,16 @@
 """Torus distance helpers: wrapping, norms, and their edge cases."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qplab.model import PotentialSpec, solve_phase_for_energy
 from qplab.torus import (
+    canonical_root,
     frac_dist,
     log_torus_norm,
     torus_norm,
@@ -100,3 +103,42 @@ def test_wrapping_preserves_imaginary_part():
 @given(finite, finite)
 def test_torus_norm_triangle_inequality(x, y):
     assert torus_norm(x + y) <= torus_norm(x) + torus_norm(y) + 1e-9
+
+
+def _same_root_pair(w, v) -> bool:
+    """Whether ``w`` and ``v`` name the same root pair {z, -z} mod 1."""
+    def red(u):
+        return complex(u.real - math.floor(u.real + 0.5), u.imag)
+    return min(abs(red(v - w)), abs(red(v + w))) <= 1e-11
+
+
+@given(st.floats(-3, 3, allow_nan=False), st.floats(-1, 1, allow_nan=False))
+@example(re=1e-12, im=-1.0)
+@example(re=9.094946017729283e-13, im=-1.0)
+@example(re=1.0, im=0.0)
+@example(re=-1.0, im=0.0)
+@example(re=0.3, im=0.0)
+@example(re=0.3, im=-0.0)
+@example(re=2.0, im=0.0)
+@example(re=-2.0, im=0.0)
+@example(re=0.0, im=1.0)
+@example(re=0.0, im=-1.0)
+@example(re=0.0, im=0.0)
+@settings(max_examples=200, deadline=None)
+def test_canonical_root_properties(re, im):
+    # inputs at a snap seam may land on either representative of their
+    # pair, so the symmetries are checked on pair classes, not raw values
+    z = complex(re, im)
+    w = canonical_root(z)
+    assert 0.0 <= w.real <= 0.5
+    assert _same_root_pair(w, z)
+    assert _same_root_pair(canonical_root(-z), w)
+    assert _same_root_pair(canonical_root(z + 1.0), w)
+    assert canonical_root(w) == w
+    assert math.copysign(1.0, w.imag) > 0.0 or w.imag != 0.0
+    # read as an energy of the cosine, z has its phase root in the same
+    # canonical form, a fixed point of the one representative map
+    theta0 = solve_phase_for_energy(PotentialSpec.cosine(), z)
+    assert repr(canonical_root(theta0)) == repr(theta0)
+    resid = abs(cmath.cos(2.0 * math.pi * theta0) - z)
+    assert resid <= 1e-9 * max(1.0, abs(z))
