@@ -401,7 +401,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def cache_key(model: ModelSpec, box, theta) -> str:
     """Hash of an assembly and its LAPACK setting; floats as exact hex."""
-    th = complex(theta.theta) if hasattr(theta, "theta") else complex(theta)
+    th = complex(theta)
 
     def fx(v: float) -> str:
         return float(v).hex()

@@ -71,9 +71,8 @@ class EvolutionData:
 def evolve_amplitudes(model: ModelSpec, window: LatticeBox, theta
                       ) -> EvolutionData:
     """Diagonalize ``H(theta)`` on a window around an origin site."""
-    theta_c = theta.theta if hasattr(theta, "theta") else complex(theta)
     sites = window.sites
-    h = assemble_t_matrix(model, sites, theta_c)
+    h = assemble_t_matrix(model, sites, complex(theta))
     if not is_hermitian(h):
         raise NotHermitian("dynamics needs an exactly Hermitian H(theta)")
     origin = np.flatnonzero(np.all(sites == 0, axis=1))

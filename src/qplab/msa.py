@@ -29,7 +29,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     NoRootInWindow,
-    NonConvergence,
     PreconditionViolated,
     ScheduleOverflow,
     SeparationViolated,
@@ -50,7 +49,6 @@ from .lattice import (
     symmetric_about_origin,
 )
 from .model import (
-    EnergyPoint,
     ModelSpec,
     assemble_t_matrix,
     eval_potential,
@@ -66,8 +64,6 @@ from .torus import (
 )
 
 MAX_EXP = 700.0
-# absorb-and-symmetrize rounds before ``construct_blocks`` gives up
-BLOCK_MAX_ROUNDS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +94,6 @@ class ScaleSchedule:
     alpha_prime: tuple
     q_exp: float
     z_exp: float
-    g_delta: float | None = None
-    g_n: float | None = None
 
     @property
     def s_max(self) -> int:
@@ -189,7 +183,6 @@ def build_schedule(mode: str, *, alpha: float, rho: float, rho_prime: float,
             ln = abs(log_delta[s]) ** (1.0 / rho_prime)
             log_n.append(ln)
             n_seq.append(int(math.exp(ln)) if ln < 43.0 else None)
-        gd = gn = None
     elif mode == "desk":
         if delta0 is None or not (0.0 < delta0 < 1.0):
             raise ValueError("desk mode needs delta0 in (0, 1)")
@@ -208,7 +201,6 @@ def build_schedule(mode: str, *, alpha: float, rho: float, rho_prime: float,
         while len(n_seq) <= s_max:
             n_seq.append(int(math.ceil(n_seq[-1] ** g_n)))
         log_n = [math.log(n) for n in n_seq]
-        gd, gn = float(g_delta), float(g_n)
     else:
         raise ValueError(f"unknown schedule mode {mode!r}")
 
@@ -238,7 +230,7 @@ def build_schedule(mode: str, *, alpha: float, rho: float, rho_prime: float,
     return ScaleSchedule(mode, alpha, rho, rho_prime, tuple(log_delta),
                          tuple(n_seq), tuple(log_n), tuple(alpha_seq),
                          tuple(alpha_prime), 0.01 if mode == "paper" else
-                         0.25, 1e-4 if mode == "paper" else 0.25, gd, gn)
+                         0.25, 1e-4 if mode == "paper" else 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +276,6 @@ def detect_resonances(model: ModelSpec, theta: complex, s: int,
     omega = model.frequency.array()
     delta = schedule.delta(s)
     d_tilde = schedule.q_threshold(s)
-    if cand2.shape[0] == 0:
-        empty = cand2.reshape(0, len(offset2))
-        return ResonanceStructure(s, complex(theta_s), tuple(offset2), empty,
-                                  empty, empty, empty, empty, delta, d_tilde)
     cand2 = canonical_sites(cand2)
     phase = complex(theta) + (cand2 / 2.0) @ omega
     rp = torus_norm(phase + complex(theta_s))
@@ -422,27 +410,22 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     for name, radius in (("resonant", r_res), ("doubled", r_dbl),
                          ("enlarged", r_enl)):
         blocks = {key: LatticeBox(key, float(radius)).sites for key in keys}
-        for key, blk in blocks.items():
-            if not window.contains_sites(blk).all():
-                raise WindowTooSmall(
-                    f"block around {tuple(c / 2 for c in key)} "
-                    "escapes the working window; enlarge it")
-        for _ in range(BLOCK_MAX_ROUNDS):
+        # a round only grows the blocks, and the window bounds them
+        while True:
             grown = [2 * lower_tiles.absorb(blk)[0] - np.asarray(key)
                      for key, blk in blocks.items()]
             template = set_union(*grown, *(-g for g in grown))
             uni = {key: (template + np.asarray(key)) // 2 for key in keys}
-            if not all(window.contains_sites(b).all() for b in uni.values()):
-                raise WindowTooSmall("symmetrized block escapes the window")
+            for key, blk in uni.items():
+                if not window.contains_sites(blk).all():
+                    raise WindowTooSmall(
+                        f"block around {tuple(c / 2 for c in key)} "
+                        "escapes the working window; enlarge it")
             changed = any(not np.array_equal(uni[key], blocks[key])
                           for key in keys)
             blocks = uni
             if not changed:
                 break
-        else:
-            raise NonConvergence(
-                "block absorption did not reach a fixed point; lower-scale "
-                "structure is too dense")
         levels[name] = (blocks, template, radius)
 
     # nesting and pad accounting: every block is its level's template
@@ -629,8 +612,6 @@ class ThetaStep:
     winding_total: int
     window_radius: float
     pole_gap: float
-    row_sum_max: float
-    row_sum_bound: float
     det_checked: int
     det_violations: int
     newton_iters: int
@@ -664,10 +645,6 @@ class _SchurDet:
         self.w_cc = w[np.ix_(core, core)].astype(complex)
         self.rr_diag = np.diag_indices(rest.size)
 
-    @property
-    def rest_slope(self) -> np.ndarray:
-        return self.slope[:self.n_rest]
-
     def _factor(self, z: complex):
         phases = complex(z) + self.slope
         d = (np.asarray(eval_potential(self.pot, phases), dtype=complex)
@@ -679,9 +656,6 @@ class _SchurDet:
         x = lu_solve(lu, self.w_rc, check_finite=False)
         s = self.w_cc + np.diag(d[nr:]) - self.w_cr @ x
         return s, lu, x, phases
-
-    def schur(self, z: complex) -> np.ndarray:
-        return self._factor(z)[0]
 
     def det(self, z: complex) -> complex:
         return complex(np.linalg.det(self._factor(z)[0]))
@@ -820,8 +794,8 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
             dedup.append(c)
     cands = dedup
 
-    pole_z = (np.concatenate([tp - ev.rest_slope, -tp - ev.rest_slope])
-              if ev.n_rest else np.asarray([], dtype=complex))
+    rest_slope = ev.slope[:ev.n_rest]
+    pole_z = np.concatenate([tp - rest_slope, -tp - rest_slope])
     delta_prev = schedule.delta(s_next - 1)
     roots: list = []
     winding_total = 0
@@ -836,8 +810,6 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         sep = min((torus_norm(c - o) for o in cands if o is not c),
                   default=float("inf"))
         r_win = min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
-        if not math.isfinite(r_win):
-            r_win = math.sqrt(delta_prev)
         if r_win < 1e-13:
             raise WindowTooSmall(
                 f"root window around {c:.6g} collapsed to {r_win:.3e}")
@@ -907,10 +879,6 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     theta_next = min(canon, key=lambda r: torus_norm(r - expected))
     deviation = float(torus_norm(theta_next - expected))
 
-    s_mat = ev.schur(theta_next + 1e-3 * radius_used)
-    row_sum = float(np.max(np.sum(np.abs(s_mat), axis=1)))
-    row_bound = 4.0 * model.potential.v_sup
-
     z_cap = min(radius_used,
                 math.exp(max(schedule.z_exp * schedule.log_delta[s_next],
                              -MAX_EXP)))
@@ -930,9 +898,8 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
 
     return ThetaStep(s_next, case.case, case.l, theta_next, expected,
                      deviation, dev_bound, deviation <= dev_bound,
-                     tuple(canon), winding_total, radius_used,
-                     min_gap if math.isfinite(min_gap) else float("inf"),
-                     row_sum, row_bound, checked, bad, iters_used)
+                     tuple(canon), winding_total, radius_used, min_gap,
+                     checked, bad, iters_used)
 
 
 # ---------------------------------------------------------------------------
@@ -948,14 +915,8 @@ def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
     """
     if s_target > schedule.s_max:
         raise ValueError("schedule is too short for the requested depth")
-    theta = complex(theta.theta) if hasattr(theta, "theta") else complex(theta)
-    if isinstance(energy, EnergyPoint):
-        e_val = complex(energy.energy)
-        theta0 = (complex(energy.theta0) if energy.theta0 is not None
-                  else solve_phase_for_energy(model.potential, e_val))
-    else:
-        e_val = complex(energy)
-        theta0 = solve_phase_for_energy(model.potential, e_val)
+    theta, e_val = complex(theta), complex(energy)
+    theta0 = solve_phase_for_energy(model.potential, e_val)
 
     run = MsaRun(model, schedule, theta, e_val, window)
     cand2 = 2 * window.sites
@@ -1075,6 +1036,23 @@ def _log_phase_factor(run: MsaRun, s: int, lam: np.ndarray) -> float:
     return best
 
 
+def _estimate(run: MsaRun, s: int, mode: str, sites: np.ndarray,
+              log_bound: float, log_coarse: float,
+              decay: tuple | None) -> EstimateReport:
+    """Invert T on ``sites`` and gate its log norm at the tighter of the two
+    bounds; ``decay = (alpha, threshold)`` also scans the entries for decay
+    at rate alpha past sup-distance ``threshold``."""
+    g = green_solve(assemble_t_matrix(run.model, sites, run.theta,
+                                      run.energy))
+    log_norm = math.log(g.op_norm)
+    norm_ok = log_norm <= min(log_bound, log_coarse) + 1e-9
+    fit = (None if decay is None else
+           decay_scan(g.matrix, sites, decay[0], run.schedule.rho,
+                      threshold=decay[1]))
+    return EstimateReport(s, mode, log_norm, log_bound, log_coarse, norm_ok,
+                          fit, norm_ok and (fit is None or fit.holds))
+
+
 def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
     """Inverse-norm and decay estimate on an s-good set.
 
@@ -1089,28 +1067,17 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
         raise PreconditionViolated(
             f"set is not {s}-good: first failure {report.failures[0]}")
     sites_arr = np.atleast_2d(np.asarray(sites, dtype=np.int64))
-    model = run.model
-    t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
-    g = green_solve(t)
-    log_norm = math.log(g.op_norm)
     sched = run.schedule
     if s == 0:
-        log_bound = (math.log(2.0 / model.potential.kappa1)
+        log_bound = (math.log(2.0 / run.model.potential.kappa1)
                      - 2.0 * sched.log_delta[0])
-        log_coarse = log_bound
-        alpha_s = sched.alpha_seq[0]
-        threshold = 0.0
-    else:
-        log_bound = (math.log(2.0) - 3.0 * sched.log_delta[s - 1]
-                     + _log_phase_factor(run, s, sites_arr))
-        log_coarse = -3.0 * sched.log_delta[s]
-        alpha_s = sched.alpha_seq[s]
-        threshold = 10.0 * run.family(s).zeta_tilde
-    fit = decay_scan(g.matrix, sites_arr, alpha_s, sched.rho,
-                     threshold=threshold)
-    norm_ok = log_norm <= min(log_bound, log_coarse) + 1e-9
-    return EstimateReport(s, "good-set", log_norm, log_bound, log_coarse,
-                          norm_ok, fit, norm_ok and fit.holds)
+        return _estimate(run, s, "good-set", sites_arr, log_bound, log_bound,
+                         (sched.alpha_seq[0], 0.0))
+    log_bound = (math.log(2.0) - 3.0 * sched.log_delta[s - 1]
+                 + _log_phase_factor(run, s, sites_arr))
+    return _estimate(run, s, "good-set", sites_arr, log_bound,
+                     -3.0 * sched.log_delta[s],
+                     (sched.alpha_seq[s], 10.0 * run.family(s).zeta_tilde))
 
 
 def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
@@ -1130,37 +1097,26 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
     if key not in fam.enlarged:
         raise KeyError(f"{key} is not a center at scale {s}")
     res = run.res(s)
-    model = run.model
     sched = run.schedule
-    sites_arr = fam.enlarged[key]
-    t = assemble_t_matrix(model, sites_arr, run.theta, run.energy)
-    g = green_solve(t)
-    log_norm = math.log(g.op_norm)
-
-    omega = model.frequency.array()
-    phase = run.theta + float(np.asarray(key, dtype=float) @ omega) / 2.0
     if mode == "offdiag":
-        in_q = any(np.array_equal(np.asarray(key), row) for row in res.q2)
-        if in_q:
+        if any(np.array_equal(np.asarray(key), row) for row in res.q2):
             raise PreconditionViolated(
                 f"center {key} is resonant at scale {s}; the off-diagonal "
                 "estimate does not apply")
-        log_bound = -2.0 * sched.log_delta[s - 1] - 2.0 * sched.log_delta[s]
-        log_coarse = -3.0 * sched.log_delta[s]
-        fit = decay_scan(g.matrix, sites_arr, sched.alpha_prime[s],
-                         sched.rho, threshold=fam.zeta_tilde / 10.0)
-    elif mode == "resonant":
-        log_bound = (-2.0 * sched.log_delta[s - 1]
-                     - float(log_torus_norm(phase - res.theta_s))
-                     - float(log_torus_norm(phase + res.theta_s)))
-        log_coarse = math.inf
-        fit = None
-    else:
+        return _estimate(
+            run, s, mode, fam.enlarged[key],
+            -2.0 * sched.log_delta[s - 1] - 2.0 * sched.log_delta[s],
+            -3.0 * sched.log_delta[s],
+            (sched.alpha_prime[s], fam.zeta_tilde / 10.0))
+    if mode != "resonant":
         raise ValueError(f"unknown block estimate mode {mode!r}")
-    norm_ok = log_norm <= min(log_bound, log_coarse) + 1e-9
-    passed = norm_ok and (fit is None or fit.holds)
-    return EstimateReport(s, mode, log_norm, log_bound, log_coarse, norm_ok,
-                          fit, passed)
+    omega = run.model.frequency.array()
+    phase = run.theta + float(np.asarray(key, dtype=float) @ omega) / 2.0
+    log_bound = (-2.0 * sched.log_delta[s - 1]
+                 - float(log_torus_norm(phase - res.theta_s))
+                 - float(log_torus_norm(phase + res.theta_s)))
+    return _estimate(run, s, mode, fam.enlarged[key], log_bound, math.inf,
+                     None)
 
 
 def deformation_levels(run: MsaRun, s: int):

@@ -221,7 +221,6 @@ def test_empty_grid_is_an_empty_sweep():
 def test_cache_key_stability_and_sensitivity(weak_model, monkeypatch):
     box = box_around(np.zeros(1), 8)
     key = cache_key(weak_model, box, 0.3)
-    assert key == cache_key(weak_model, box, PhasePoint(0.3))
     assert key != cache_key(weak_model, box, 0.3 + 1e-12)
     assert key != cache_key(weak_model, box_around(np.zeros(1), 9), 0.3)
     # LAPACK bits depend on the BLAS thread count, so the key does too

@@ -168,6 +168,15 @@ def test_detect_resonances_planted(planted_model, sched19):
     assert res.q_tilde_minus2.tolist() == (2 * tm).tolist()
 
 
+def test_detect_resonances_empty_candidates(planted_model, sched19):
+    res = detect_resonances(planted_model, 0.1, 1, 0.2, sched19,
+                            np.empty((0, 1), dtype=np.int64), (3,))
+    for shell in (res.p2, res.q2, res.q_tilde2):
+        assert shell.shape == (0, 1)
+    assert res.offset2 == (3,)
+    assert res.delta == sched19.delta(1)
+
+
 def test_classify_case_merge_pair(planted_model, sched19):
     omega = planted_model.frequency.array()
     theta0 = solve_phase_for_energy(planted_model.potential, 0.3)
@@ -319,6 +328,31 @@ def test_construct_blocks_core_guards(toy_schedule):
         construct_blocks(np.asarray([[0]]),
                          {(0,): np.asarray([[0], [2]])},
                          1, 1, (0,), toy_schedule, [], window)
+
+
+class _StandInLower:
+    """Lower family with only what ``construct_blocks`` reads of one."""
+
+    def __init__(self, tiles):
+        self.enlarged = {(2 * i,): np.asarray(t)[:, None]
+                         for i, t in enumerate(tiles)}
+
+    def center_keys(self):
+        return list(self.enlarged)
+
+
+@pytest.mark.parametrize("n_tiles, reach", [(15, 30), (16, 31), (20, 35)])
+def test_construct_blocks_closes_a_long_chain(sched19, n_tiles, reach):
+    # two-site tiles just outside alternate sides of the radius-15 ball:
+    # [15, 16], [-17, -16], [17, 18], ...; each mirror exposes one more,
+    # so the closure takes one round per tile
+    tiles = [[15 + i, 16 + i] if i % 2 == 0 else [-16 - i, -15 - i]
+             for i in range(n_tiles)]
+    fam = construct_blocks(np.asarray([[0]]), {(0,): np.asarray([[0]])},
+                           1, 1, (0,), sched19, [_StandInLower(tiles)],
+                           box_around(np.zeros(1), 100))
+    np.testing.assert_array_equal(fam.resonant[(0,)].ravel(),
+                                  np.arange(-reach, reach + 1))
 
 
 # ---------------------------------------------------------------------------
