@@ -79,8 +79,10 @@ import scipy
 from . import __version__
 from .dynamics import (
     EvolutionData,
+    ceiling_onset,
     evolve_amplitudes,
     localization_profile,
+    moment_ceiling,
     moment_p,
     time_avg_moment,
 )
@@ -113,7 +115,6 @@ from .model import (
     FrequencyVector,
     HoppingKernel,
     ModelSpec,
-    PhasePoint,
     PotentialSpec,
     assemble_restriction,
     solve_phase_for_energy,
@@ -512,7 +513,7 @@ def _status(n_fail: int, n_rows: int, detail: str = "") -> PointResult:
 
 def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
     restriction = assemble_restriction(
-        cfg.model, cfg.window, PhasePoint(point["theta"]), point["energy"])
+        cfg.model, cfg.window, point["theta"], point["energy"])
     dim = cfg.model.dim
     header = tuple(f"n{i}" for i in range(dim)) + ("diag_re", "diag_im")
     table = Table(header)
@@ -572,7 +573,7 @@ class _GreenSweep:
 
         order, starts, radii = self._distance_classes()
         g = green_solve(assemble_restriction(
-            model, self.cfg.window, PhasePoint(theta), energy).matrix)
+            model, self.cfg.window, theta, energy).matrix)
         # largest |G| in each distance class; the classes are symmetric
         # sets of pairs, so G's memory order ("K") reads the same maxima
         peak = g.matrix.ravel(order="K")[order]
@@ -633,17 +634,14 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict) -> PointResult:
     model, p = cfg.model, cfg.p
     moment = time_avg_moment if cfg.averaged else moment_p
     ev = eigendata(model, cfg.window, point["theta"])
-    delta0 = math.exp(cfg.schedule.log_delta[0])
-    beta = model.potential.beta
-    t0 = max(1.0 / beta, delta0 ** -3.0)
+    t0 = ceiling_onset(math.exp(cfg.schedule.log_delta[0]),
+                       model.potential.beta)
     rho_prime = cfg.schedule.rho_prime
     table = Table(("t", "moment", "bound", "boundary_mass", "gated", "pass"))
     n_fail = 0
     for t in cfg.times:
         mv = moment(ev, float(t), p)
-        bound = 2.0 ** p * math.exp(
-            p * math.log(t) ** (2.0 / (1.0 + rho_prime))) if t > 1 else \
-            float("inf")
+        bound = moment_ceiling(t, p, rho_prime) if t > 1 else float("inf")
         gated = t >= t0 and mv.boundary_mass < 1e-6
         ok = (not gated) or mv.value <= bound
         n_fail += 0 if ok else 1
@@ -741,8 +739,7 @@ def _suite_rows(cfg: ExperimentConfig) -> list:
     bad = 0
     box = cfg.window
     for _ in range(ct_n):
-        theta = PhasePoint(float(rng.uniform(0.0, 1.0)))
-        h = assemble_restriction(model, box, theta, 0.0).matrix
+        h = assemble_restriction(model, box, rng.uniform(0.0, 1.0), 0.0).matrix
         z = complex(rng.uniform(-1.0, 1.0), 0.75)
         bad += not combes_thomas_check(h, box.sites.astype(float), z,
                                        0.75 * model.hopping.alpha, rho,

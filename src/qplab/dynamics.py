@@ -363,29 +363,42 @@ class MomentCeilingReport:
         return bool(np.all(self.values <= self.bounds))
 
 
+def ceiling_onset(delta0: float, beta: float) -> float:
+    """``T_0 = max(beta^-1, delta_0^-3)``, the time the ceiling starts at."""
+    return max(1.0 / beta, delta0 ** -3.0)
+
+
+def moment_ceiling(t: float, p: float, rho_prime: float) -> float:
+    """The ceiling ``2^p exp(p (log t)^(2/(1+rho')))`` on ``moment_p`` at
+    a time ``t > 1``."""
+    return 2.0 ** p * math.exp(p * math.log(t) ** (2.0 / (1.0 + rho_prime)))
+
+
 def moment_ceiling_check(ev: EvolutionData, p: float, rho_prime: float,
                          delta0: float, beta: float, times, *,
                          averaged: bool = False) -> MomentCeilingReport:
-    """Check ``moment_p <= 2^p exp(p (log t)^(2/(1+rho')))`` past ``T_0``.
+    """Check ``moment_p`` against ``moment_ceiling`` past ``ceiling_onset``.
 
-    ``T_0 = max(beta^-1, delta_0^-3)``.  Works for both instantaneous and
-    Abel-averaged moments; the supplied times must all sit at or beyond
+    This is the paper's sub-polynomial upper bound on quantum dynamics for
+    every phase, and acceptance criterion 10.  Works for both instantaneous
+    and Abel-averaged moments; the supplied times must all sit at or beyond
     ``T_0``.  ``boundary_mass_max`` is the largest outer-layer mass, of the
     same (instantaneous or averaged) distribution, over the times.
     """
-    t0 = max(1.0 / beta, delta0 ** -3.0)
+    t0 = ceiling_onset(delta0, beta)
     times = np.asarray(times, dtype=float)
     if np.any(times < t0):
         raise PreconditionViolated(
             f"all probe times must be >= T_0 = {t0:g}")
     vals = np.empty_like(times)
+    bounds = np.empty_like(times)
     edge = 0.0
     moment = time_avg_moment if averaged else moment_p
     for i, t in enumerate(times):
         mv = moment(ev, float(t), p)
         vals[i] = mv.value
+        bounds[i] = moment_ceiling(float(t), p, rho_prime)
         edge = max(edge, mv.boundary_mass)
-    bounds = 2.0 ** p * np.exp(p * np.log(times) ** (2.0 / (1.0 + rho_prime)))
     return MomentCeilingReport(float(p), t0, times, vals, bounds,
                                bool(averaged), edge)
 
@@ -455,7 +468,8 @@ def arithmetic_phase_test(theta: float, freq: FrequencyVector,
     A site violates when the doubled phase beats ``||n||^-tau`` with the
     frequency's own ``tau``; for the zero phase with the golden frequency
     and tau = 2 exactly the first two integers violate, which is the
-    classic arithmetic obstruction profile.
+    classic arithmetic obstruction profile.  It scans the arithmetic
+    condition on theta under which the paper proves spectral localization.
     """
     if freq.dim == 1:
         sites = np.arange(1, n_max + 1, dtype=np.int64)[:, None]

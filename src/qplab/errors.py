@@ -71,10 +71,6 @@ class TailNotSmall(QplabError):
     """Kernel-sum truncation too short for a meaningful tail bound."""
 
 
-class NonConvergence(QplabError):
-    """Fixpoint iteration did not stabilize within the configured cap."""
-
-
 # ---------------------------------------------------------------------------
 # Green's function engine
 
@@ -90,10 +86,6 @@ class ASingular(QplabError):
 
 class DenominatorNonpositive(QplabError):
     """Combes-Thomas denominator is not positive for the requested rate."""
-
-
-class NotContractive(QplabError):
-    """Neumann series perturbation has estimated norm >= 1."""
 
 
 class AsymmetricBox(QplabError):

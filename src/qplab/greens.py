@@ -2,13 +2,12 @@
 
 The multi-scale induction consumes a small toolbox of exact linear-algebra
 facts: Cramer/Hadamard bounds on adjugates, determinant perturbation, the
-Schur complement determinant identity with its norm sandwich, a
-Combes-Thomas bound tailored to log-power (quasi-metric) decay, and Neumann
-series inversion of diagonally dominant restrictions.  Each fact gets a
-checker that computes both sides numerically, so the test suite can hammer
-them on random instances while the induction code calls the same paths.
-The matrix checks take one matrix or a stack ``(..., n, n)`` and return one
-value per matrix, so a suite calls each check once per size.
+Schur complement determinant identity with its norm sandwich, and a
+Combes-Thomas bound tailored to log-power (quasi-metric) decay.  Each fact
+gets a checker that computes both sides numerically, so the test suite can
+hammer them on random instances while the induction code calls the same
+paths.  The matrix checks take one matrix or a stack ``(..., n, n)`` and
+return one value per matrix, so a suite calls each check once per size.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from .errors import (
     ASingular,
     AsymmetricBox,
     DenominatorNonpositive,
-    NonConvergence,
-    NotContractive,
     NotHermitian,
     Singular,
 )
@@ -33,11 +30,10 @@ from .model import assemble_t_matrix, is_hermitian, log_decay_envelope
 
 LOG2 = float(np.log(2.0))
 # fixed gates: the relative LU pivot and identity residual of green_solve,
-# the Neumann stopping term, the relative gap of det T(z) to det T(-z) and
-# the log excess at which a decay entry violates its envelope
+# the relative gap of det T(z) to det T(-z) and the log excess at which a
+# decay entry violates its envelope
 PIVOT_RTOL = 1e-14
 RESIDUAL_RTOL = 1e-8
-NEUMANN_TOL = 1e-14
 EVENNESS_TOL = 1e-8
 DECAY_LOG_TOL = 1e-9
 
@@ -342,57 +338,6 @@ def combes_thomas_check(h: np.ndarray, sites: np.ndarray, z: complex,
 
 
 # ---------------------------------------------------------------------------
-# Neumann series
-
-
-@dataclass(frozen=True)
-class NeumannData:
-    matrix: np.ndarray
-    terms: int
-    contraction: float
-    remainder_bound: float
-    residual: float
-
-
-def neumann_inverse(diag, w: np.ndarray, eps: float, *,
-                    max_terms: int = 64) -> NeumannData:
-    """Invert ``diag + eps W`` by Neumann series around the diagonal.
-
-    Requires ``||eps diag^{-1} W|| < 1``; the returned remainder bound is the
-    geometric tail at truncation.  NonConvergence means the term budget ran
-    out before the series settled, which for a genuine contraction only
-    happens with an unreasonably small budget.
-    """
-    d = np.asarray(diag, dtype=complex).ravel()
-    if float(np.min(np.abs(d))) == 0.0:
-        raise Singular("diagonal part has a zero entry")
-    k = (w / d[:, None]) * eps
-    q = two_norm(k)
-    if q >= 1.0:
-        raise NotContractive(f"||eps D^-1 W|| = {q:.4f} is not below 1")
-    n = d.size
-    d_inv = np.diag(1.0 / d)
-    term = d_inv.copy()
-    total = d_inv.copy()
-    terms = 1
-    for _ in range(max_terms):
-        term = -k @ term
-        total += term
-        terms += 1
-        if float(np.max(np.abs(term))) <= NEUMANN_TOL * max(
-                1.0, float(np.max(np.abs(total)))):
-            break
-    else:
-        raise NonConvergence(
-            f"Neumann series still moving after {max_terms} terms "
-            f"(contraction {q:.4f})")
-    remainder = float(np.max(np.abs(1.0 / d))) * q ** terms / (1.0 - q)
-    t = np.diag(d) + eps * np.asarray(w)
-    residual = float(np.linalg.norm(t @ total - np.eye(n)))
-    return NeumannData(total, terms, q, remainder, residual)
-
-
-# ---------------------------------------------------------------------------
 # determinant evenness
 
 
@@ -411,7 +356,9 @@ def determinant_evenness_check(model, sites, z: complex,
     The site set may live on the half-integer lattice (tracking frame).
     Evenness needs a symmetric hopping amplitude and an even potential; any
     Morse-certified potential is even, since the upper Morse bound collapses
-    at the antipodal pair otherwise.
+    at the antipodal pair otherwise.  This is the symmetry that pairs the
+    paper's characteristic roots as {theta, -theta}; criterion 1's evenness
+    suite checks the same identity on random frames.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if not symmetric_about_origin(as_sites(2.0 * sites)):

@@ -239,7 +239,10 @@ def site_index(sites, rows) -> np.ndarray:
 
 
 def site_tuples(sites) -> set:
-    """Hashable keys of the sites, for dictionaries keyed by site."""
+    """Hashable keys of the sites, for dictionaries keyed by site.
+
+    Kept for the benchmark tracer, which wraps it; no qplab code calls it.
+    """
     return {tuple(int(v) for v in row) for row in as_sites(sites)}
 
 
@@ -275,6 +278,10 @@ def pairwise_sup_dist(a, b=None) -> np.ndarray:
 
 
 def sets_intersect(a, b) -> bool:
+    """Whether the site sets share a site.
+
+    Kept for the benchmark tracer, which wraps it; no qplab code calls it.
+    """
     a, b = as_sites(a), as_sites(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return False
@@ -311,22 +318,18 @@ def symmetric_about_origin(sites) -> bool:
     return bool(np.array_equal(arr, canonical_sites(-arr)))
 
 
-def serialize_sites(sites) -> list:
-    """Sorted JSON-ready list of integer vectors."""
-    return [list(map(int, row)) for row in canonical_sites(sites)]
-
-
 # ---------------------------------------------------------------------------
 # kernel sum D(eta)
 
 
 @dataclass(frozen=True)
 class KernelSum:
-    """Truncated lattice sum of ``exp(-eta * log^rho(1 + ||k||))``.
+    """The sum ``D(eta)`` of ``exp(-eta * log^rho(1 + ||k||))`` over ``Z^d``.
 
-    ``value`` underestimates the full sum and ``value + tail_bound``
-    dominates it; the tail comes from an integral comparison certified to be
-    monotone at the cutoff.
+    ``value`` sums the shells ``||k|| <= cutoff`` and so underestimates
+    ``D(eta)``; ``value + tail_bound`` dominates it.  With ``u0 = log(1 +
+    cutoff)`` and ``kappa = eta rho u0^(rho-1) - d > 0``, ``tail_bound =
+    2d 2^(d-1) exp(d u0 - eta u0^rho) / kappa`` in closed form.
     """
 
     eta: float
@@ -349,25 +352,18 @@ def kernel_sum(eta: float, rho: float, dim: int, cutoff: int) -> KernelSum:
     counts = (2 * m + 1) ** dim - (2 * m - 1) ** dim
     value = 1.0 + float(np.sum(counts * np.exp(-eta * np.log1p(m) ** rho)))
 
-    def majorant(x):
-        return 2 * dim * (2 * x + 1) ** (dim - 1) * np.exp(
-            -eta * np.log1p(x) ** rho)
-
-    if dim > 1:
-        # Decreasing iff eta*rho*log^{rho-1}(1+x)*(2x+1)/(2(d-1)(1+x)) > 1;
-        # the left side is increasing in x, so the cutoff check suffices.
-        slope = (eta * rho * math.log1p(cutoff) ** (rho - 1)
-                 * (2 * cutoff + 1) / (2 * (dim - 1) * (1 + cutoff)))
-        if slope <= 1.0:
-            raise TailNotSmall(
-                "cutoff too small: shell majorant not yet decreasing")
-
-    # imported here: scipy.integrate costs about 0.3 s and 23 MB to load,
-    # and nothing else in qplab needs it
-    from scipy.integrate import quad
-
-    tail_val, tail_err = quad(majorant, cutoff, np.inf, limit=200)
-    tail_bound = float(tail_val + abs(tail_err))
+    # Shell m > cutoff holds (2m+1)^d - (2m-1)^d <= 2d 2^(d-1) (1+m)^(d-1)
+    # sites.  In u = log(1+m) that majorant times dm is 2d 2^(d-1) e^phi(u) du
+    # with phi(u) = d u - eta u^rho concave, so phi(u) <= phi(u0) - kappa
+    # (u - u0).  kappa > 0 also makes the majorant decreasing past the
+    # cutoff, so the shells sum to at most its integral.
+    u0 = math.log1p(cutoff)
+    kappa = eta * rho * u0 ** (rho - 1) - dim
+    if kappa <= 0.0:
+        raise TailNotSmall(
+            f"cutoff too small: kappa = {kappa:.3g} is not positive")
+    tail_bound = (2 * dim * 2 ** (dim - 1)
+                  * math.exp(dim * u0 - eta * u0 ** rho) / kappa)
     if tail_bound > value:
         raise TailNotSmall(
             f"tail bound {tail_bound:.3e} exceeds the partial sum {value:.3e}")

@@ -30,8 +30,6 @@ from .lattice import LatticeBox, as_sites, box_around
 from .torus import canonical_root, torus_norm, wrap_to_unit
 
 TWO_PI = 2.0 * math.pi
-# largest ``|v(theta0) - E|`` that ``EnergyPoint.at`` accepts
-PREIMAGE_TOL = 1e-9
 
 
 def log_decay_envelope(alpha: float, rho: float, dist) -> np.ndarray:
@@ -160,7 +158,9 @@ def certify_morse(spec: PotentialSpec, grid_density: int = 256,
     Scans all pairs of grid points (real torus, plus five imaginary levels
     when ``strip`` > 0) and returns the extreme ratios together with the
     attaining pairs.  A vanishing ratio at nonzero denominator means the
-    potential is not cosine-type and raises DegenerateRatio.
+    potential is not cosine-type and raises DegenerateRatio.  It checks the
+    paper's cosine-type hypothesis on v, the two-sided Morse bound that
+    ``PotentialSpec`` declares.
     """
     if grid_density < 16:
         raise ValueError("grid density must be at least 16 per unit length")
@@ -356,14 +356,8 @@ def kernel_weights(kernel: HoppingKernel, diffs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def hopping_weight(kernel: HoppingKernel, n) -> complex:
-    """Single amplitude ``phi(n)`` with the envelope check applied."""
-    arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    return complex(kernel_weights(kernel, arr[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
-# model, phases, energies
+# model
 
 
 @dataclass(frozen=True)
@@ -390,39 +384,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return self.frequency.dim
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Phase with real part reduced mod 1; imaginary part limited to R/2."""
-
-    theta: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", complex(wrap_to_unit(self.theta)))
-
-    def validate(self, potential: PotentialSpec) -> "PhasePoint":
-        if abs(self.theta.imag) > potential.strip / 2.0:
-            raise OutOfStrip(
-                f"|Im theta| = {abs(self.theta.imag):.4g} exceeds half-strip "
-                f"{potential.strip / 2.0}")
-        return self
-
-
-@dataclass(frozen=True)
-class EnergyPoint:
-    energy: complex
-    theta0: complex | None = None
-
-    @classmethod
-    def at(cls, potential: PotentialSpec, energy) -> "EnergyPoint":
-        """Energy together with a verified phase preimage ``v(theta0) = E``."""
-        theta0 = solve_phase_for_energy(potential, energy)
-        resid = abs(complex(eval_potential(potential, theta0)) - energy)
-        if resid > PREIMAGE_TOL:
-            raise ValueError(f"phase preimage residual {resid:.3e} above "
-                             f"tolerance {PREIMAGE_TOL}")
-        return cls(complex(energy), theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +471,16 @@ class OperatorRestriction:
 
 def assemble_restriction(model: ModelSpec, box: LatticeBox, theta,
                          energy=0.0) -> OperatorRestriction:
-    """Assemble the dense restriction of ``H(theta) - E`` to a box."""
-    theta_c = theta.theta if isinstance(theta, PhasePoint) else complex(theta)
-    PhasePoint(theta_c).validate(model.potential)
-    e_c = energy.energy if isinstance(energy, EnergyPoint) else complex(energy)
+    """Assemble the dense restriction of ``H(theta) - E`` to a box.
+
+    The real part of ``theta`` is reduced into [0, 1); ``|Im theta|`` above
+    half the potential's strip raises ``OutOfStrip``.
+    """
+    theta_c = complex(wrap_to_unit(theta))
+    if abs(theta_c.imag) > model.potential.strip / 2.0:
+        raise OutOfStrip(f"|Im theta| = {abs(theta_c.imag):.4g} exceeds "
+                         f"half-strip {model.potential.strip / 2.0}")
+    e_c = complex(energy)
     mat = assemble_t_matrix(model, box.sites, theta_c, e_c)
     return OperatorRestriction(box, mat, theta_c, e_c, model)
 
@@ -534,6 +501,8 @@ def spectrum_bounds(restriction: OperatorRestriction,
     The assembled matrix is ``H - E``; eigenvalues are shifted back by the
     (real) energy so the report speaks about ``H`` itself, compared against
     the window ``[a - beta, b + beta]`` unless another window is supplied.
+    It checks the spectral margin the paper's energy range assumes: for
+    small ``eps`` the spectrum lies within ``beta`` of the range of v.
     """
     if not restriction.hermitian:
         raise NotHermitian("spectrum bounds need a Hermitian restriction")

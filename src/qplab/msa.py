@@ -611,7 +611,6 @@ class ThetaStep:
     roots: tuple
     winding_total: int
     window_radius: float
-    pole_gap: float
     det_checked: int
     det_violations: int
     newton_iters: int
@@ -800,13 +799,11 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     roots: list = []
     winding_total = 0
     iters_used = 0
-    min_gap = float("inf")
     radius_used = 0.0
 
     for c in cands:
         gap = (float(np.min(torus_norm(pole_z - c)))
                if pole_z.size else float("inf"))
-        min_gap = min(min_gap, gap)
         sep = min((torus_norm(c - o) for o in cands if o is not c),
                   default=float("inf"))
         r_win = min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
@@ -898,8 +895,8 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
 
     return ThetaStep(s_next, case.case, case.l, theta_next, expected,
                      deviation, dev_bound, deviation <= dev_bound,
-                     tuple(canon), winding_total, radius_used, min_gap,
-                     checked, bad, iters_used)
+                     tuple(canon), winding_total, radius_used, checked, bad,
+                     iters_used)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1057,8 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
     decay ``(3/4) alpha`` at every distance); later scales use
     ``2 delta_{s-1}^-3`` times the worst inverse distance product over the
     contained enlarged blocks (coarsely ``delta_s^-3``), with decay
-    ``alpha_s`` past ten enlarged diameters.
+    ``alpha_s`` past ten enlarged diameters.  These are the paper's Green's
+    function estimates on s-good sets, the conclusion of the induction.
     """
     report = check_good(run, sites, s)
     if not report.good:
@@ -1088,7 +1086,8 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
     most ``delta_{s-1}^-2 delta_s^-2`` and transitional decay past a tenth
     of the enlarged diameter.  ``resonant`` is the distance-product bound
     ``delta_{s-1}^-2 / (||.-theta_s|| ||.+theta_s||)`` valid for every
-    center of the scale.
+    center of the scale.  These are the paper's resolvent estimates on the
+    resonant blocks, which the induction's next scale consumes.
     """
     if s < 1:
         raise ValueError("block estimates start at scale 1")

@@ -14,15 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def frac_dist(x):
-    """Distance from each entry of ``x`` to the nearest integer."""
-    x = np.asarray(x, dtype=float)
-    out = np.abs(x - np.rint(x))
-    return float(out) if out.ndim == 0 else out
-
-
 def torus_norm(z):
-    """The torus norm ``||z||_T`` for real or complex ``z``."""
+    """The torus norm ``||z||_T`` for real or complex ``z``.
+
+    For real ``z`` it is the distance to the nearest integer.
+    """
     z = np.asarray(z)
     if np.iscomplexobj(z):
         out = np.hypot(np.abs(z.real - np.rint(z.real)), z.imag)
@@ -46,12 +42,13 @@ def log_torus_norm(z):
 def wrap_to_unit(x):
     """Reduce the real part of ``x`` into [0, 1)."""
     x = np.asarray(x)
+    re = np.mod(x.real.astype(float, copy=False), 1.0)
+    # np.mod rounds an input just below an integer up to 1.0
+    re = np.where(re == 1.0, 0.0, re)
     if np.iscomplexobj(x):
-        out = np.mod(x.real, 1.0) + 1j * x.imag
-    else:
-        out = np.mod(x.astype(float, copy=False), 1.0)
-    return complex(out) if out.ndim == 0 and np.iscomplexobj(x) else (
-        float(out) if out.ndim == 0 else out)
+        out = re + 1j * x.imag
+        return complex(out) if out.ndim == 0 else out
+    return float(re) if re.ndim == 0 else re
 
 
 def wrap_to_symmetric(x):

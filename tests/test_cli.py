@@ -36,7 +36,6 @@ from qplab.lattice import box_around
 from qplab.model import (
     HoppingKernel,
     ModelSpec,
-    PhasePoint,
     assemble_restriction,
     spectrum_bounds,
 )
@@ -429,7 +428,7 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
                      "times": [2.0]}))).summary] == ["pass"]
     model = parse_config(make_raw("green", GREEN_PASS)).model
     box = box_around(np.zeros(1), 8)
-    rest = assemble_restriction(model, box, PhasePoint(0.113), 0.0)
+    rest = assemble_restriction(model, box, 0.113, 0.0)
     assert spectrum_bounds(rest).contained
     assert combes_thomas_check(rest.matrix, box.sites, 0.3 + 1.2j,
                                0.5, 2.0, 0.5).holds
@@ -476,8 +475,7 @@ def test_green_sweep_takes_no_spectrum(dense_calls):
     assert {name for caller, name, _ in dense_calls
             if caller == "qplab.greens"} == {"lu_factor"}
     for entry in bundle.summary:
-        rest = assemble_restriction(cfg.model, cfg.window,
-                                    PhasePoint(entry["theta"]),
+        rest = assemble_restriction(cfg.model, cfg.window, entry["theta"],
                                     entry["energy"])
         (row0,) = [row for row in bundle.artifacts[entry["artifacts"][0]].rows
                    if row[0] == 0]
@@ -506,10 +504,11 @@ def test_green_sweep_caches_no_failure(monkeypatch, owner, name, n_calls):
 
 
 def test_import_leaves_out_scipy_integrate():
-    """Only ``lattice.kernel_sum`` needs scipy.integrate, which costs about
-    0.3 s and 23 MB to import; no CLI kind loads it."""
+    """scipy.integrate costs about 0.3 s and 23 MB to import; neither the
+    CLI nor ``kernel_sum``, whose tail bound is in closed form, loads it."""
     subprocess.run([sys.executable, "-c",
                     "import qplab.cli, sys; "
+                    "qplab.kernel_sum(1.0, 2.0, 1, 30); "
                     "assert 'scipy.integrate' not in sys.modules"],
                    check=True)
 
@@ -560,7 +559,7 @@ def test_error_rows_and_fail_fast(monkeypatch):
     assemble = cli.assemble_restriction
 
     def planted(model, box, theta, energy):
-        if theta.theta.real > 0.15:
+        if theta > 0.15:
             raise QplabError("planted failure")
         return assemble(model, box, theta, energy)
 

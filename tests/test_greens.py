@@ -15,7 +15,6 @@ from qplab import (
     determinant_evenness_check,
     green_solve,
     hadamard_adjugate_check,
-    neumann_inverse,
     sandwich_check,
     schur_complement,
 )
@@ -23,8 +22,6 @@ from qplab.errors import (
     ASingular,
     AsymmetricBox,
     DenominatorNonpositive,
-    NonConvergence,
-    NotContractive,
     NotHermitian,
     Singular,
 )
@@ -358,34 +355,6 @@ def test_combes_thomas_needs_hermitian(small_window):
     with pytest.raises(NotHermitian):
         combes_thomas_check(np.triu(np.ones((n, n))), small_window.sites,
                             2.0j, 0.5, 2.0, 0.53)
-
-
-# ---------------------------------------------------------------------------
-# Neumann series
-
-
-def test_neumann_matches_direct_inverse():
-    rng = np.random.default_rng(7)
-    diag = rng.uniform(1.0, 2.0, 9)
-    w = _random_complex(rng, 9)
-    np.fill_diagonal(w, 0.0)
-    data = neumann_inverse(diag, w, 1e-2)
-    direct = np.linalg.inv(np.diag(diag) + 1e-2 * w)
-    err = float(np.max(np.abs(data.matrix - direct)))
-    assert err <= max(data.remainder_bound, 1e-12)
-    assert data.contraction < 1.0
-    assert data.residual < 1e-10
-
-
-def test_neumann_guards():
-    rng = np.random.default_rng(8)
-    w = _random_complex(rng, 5)
-    with pytest.raises(NotContractive):
-        neumann_inverse(np.full(5, 0.1), w, 1.0)
-    with pytest.raises(Singular):
-        neumann_inverse(np.array([1.0, 0.0, 1.0]), np.zeros((3, 3)), 0.1)
-    with pytest.raises(NonConvergence):
-        neumann_inverse(np.ones(5), w, 0.05, max_terms=1)
 
 
 # ---------------------------------------------------------------------------

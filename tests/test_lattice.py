@@ -26,7 +26,6 @@ from qplab.lattice import (
     is_regular,
     pairwise_sup_dist,
     regularity_witness,
-    serialize_sites,
     set_contains,
     set_diameter,
     set_union,
@@ -221,12 +220,6 @@ def test_set_layer_survives_frames_past_int64():
     assert _Tiles(tiles).first_cut(closed) is None
 
 
-def test_serialize_sites_is_sorted_json_ready():
-    out = serialize_sites([[3], [-1], [3]])
-    assert out == [[-1], [3]]
-    assert all(isinstance(v, int) for row in out for v in row)
-
-
 # ---------------------------------------------------------------------------
 # kernel sums
 
@@ -247,6 +240,23 @@ def test_kernel_sum_2d_tail_dominates_refinement():
     assert ks.value <= ks_far.value <= ks.value + ks.tail_bound
 
 
+@pytest.mark.parametrize("eta, dim, cutoff", [(1.0, 1, 30), (1.5, 2, 40)])
+def test_kernel_sum_tail_bounds_a_million_more_shells(eta, dim, cutoff):
+    ks = kernel_sum(eta, 2.0, dim, cutoff)
+    # the sites of ||k|| <= cutoff one by one, then 10^6 more shells, shell
+    # m of Z^2 holding 8m sites
+    axes = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * dim)
+    norm = np.max(np.abs(np.stack(axes)), axis=0).astype(float)
+    inner = float(np.sum(np.exp(-eta * np.log1p(norm) ** 2)))
+    m = np.arange(cutoff + 1, cutoff + 10**6 + 1, dtype=float)
+    extra = float(np.sum((2.0 if dim == 1 else 8.0 * m)
+                         * np.exp(-eta * np.log1p(m) ** 2)))
+    assert ks.value == pytest.approx(inner, rel=1e-12)
+    assert inner + extra <= ks.value + ks.tail_bound
+    # and the closed form is not loose: it is below twice the tail it bounds
+    assert ks.tail_bound <= 2.0 * extra
+
+
 def test_kernel_sum_monotone_in_eta():
     lo = kernel_sum(0.8, 2.0, 1, 100)
     hi = kernel_sum(1.6, 2.0, 1, 100)
@@ -263,8 +273,14 @@ def test_kernel_sum_preconditions():
 
 
 def test_kernel_sum_rejects_cutoff_before_majorant_decreases():
-    with pytest.raises(TailNotSmall):
+    # kappa = eta rho log^(rho-1)(1 + cutoff) - d is -1.31 and -0.307
+    with pytest.raises(TailNotSmall, match="kappa"):
         kernel_sum(0.5, 2.0, 2, 1)
+    with pytest.raises(TailNotSmall, match="kappa"):
+        kernel_sum(0.5, 2.0, 1, 1)
+    # kappa = 0.109 > 0, but the tail bound exceeds the partial sum
+    with pytest.raises(TailNotSmall, match="exceeds the partial sum"):
+        kernel_sum(0.8, 2.0, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from qplab import (
-    EnergyPoint,
     FrequencyVector,
     HoppingKernel,
     ModelSpec,
-    PhasePoint,
     PotentialSpec,
     assemble_restriction,
     assemble_t_matrix,
@@ -20,7 +18,6 @@ from qplab import (
     certify_diophantine,
     certify_morse,
     eval_potential,
-    hopping_weight,
     is_hermitian,
     kernel_weights,
     solve_phase_for_energy,
@@ -84,14 +81,6 @@ def test_solve_phase_canonical_branch():
     assert eval_potential(pot, th2) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_energy_point_carries_verified_preimage():
-    pot = PotentialSpec.cosine()
-    ep = EnergyPoint.at(pot, 0.3)
-    assert eval_potential(pot, ep.theta0) == pytest.approx(0.3, abs=1e-9)
-    ep2 = EnergyPoint.at(pot, 0.3 + 0.8j)
-    assert abs(eval_potential(pot, ep2.theta0) - (0.3 + 0.8j)) < 1e-9
-
-
 def test_certify_morse_real_torus():
     pot = PotentialSpec.cosine()
     cert = certify_morse(pot, grid_density=256)
@@ -110,12 +99,19 @@ def test_certify_morse_rejects_flat_potential():
         certify_morse(flat)
 
 
-def test_phase_point_wraps_and_validates():
-    pot = PotentialSpec.cosine()
-    assert PhasePoint(1.7).theta == pytest.approx(0.7)
-    PhasePoint(0.1 + 0.2j).validate(pot)
+def test_phase_point_wraps_and_validates(weak_model, small_window):
+    # assemble_restriction reduces the phase mod 1 and keeps it in the
+    # half-strip |Im theta| <= R/2 = 0.25
+    rest = assemble_restriction(weak_model, small_window, 1.7)
+    assert rest.theta == pytest.approx(0.7)
+    np.testing.assert_allclose(
+        rest.matrix, assemble_t_matrix(weak_model, small_window.sites, 1.7),
+        rtol=0, atol=1e-14)
+    assert assemble_restriction(weak_model, small_window,
+                                -1e-17).theta == 0.0
+    assemble_restriction(weak_model, small_window, 0.1 + 0.2j)
     with pytest.raises(OutOfStrip):
-        PhasePoint(0.1 + 0.3j).validate(pot)
+        assemble_restriction(weak_model, small_window, 0.1 + 0.3j)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +164,10 @@ def test_frequency_validation():
 
 def test_saturating_kernel_values():
     kern = HoppingKernel.saturating(1.0, 2.0)
-    assert hopping_weight(kern, [0]) == 0.0
-    assert hopping_weight(kern, [1]) == pytest.approx(
-        math.exp(-math.log(2.0) ** 2))
-    assert hopping_weight(kern, [-1]) == hopping_weight(kern, [1])
+    w = kernel_weights(kern, np.array([[0], [1], [-1]]))
+    assert w[0] == 0.0
+    assert w[1] == pytest.approx(math.exp(-math.log(2.0) ** 2))
+    assert w[2] == w[1]
 
 
 def test_kernel_envelope_is_enforced():
@@ -198,7 +194,7 @@ def test_toeplitz_block_matches_double_loop():
     for i, x in enumerate(sites):
         for j, y in enumerate(sites):
             assert block[i, j] == pytest.approx(
-                complex(hopping_weight(kern, x - y)))
+                kernel_weights(kern, x - y)[0])
 
 
 def test_toeplitz_block_rejects_fractional_differences():

@@ -1,4 +1,8 @@
-"""Torus distance helpers: wrapping, norms, and their edge cases."""
+"""Torus distance helpers: wrapping, norms, and their edge cases.
+
+The ``frac_dist`` tests check the distance to the nearest integer, which
+is ``torus_norm`` of a real input.
+"""
 
 import cmath
 import math
@@ -11,7 +15,6 @@ from hypothesis import strategies as st
 from qplab.model import PotentialSpec, solve_phase_for_energy
 from qplab.torus import (
     canonical_root,
-    frac_dist,
     log_torus_norm,
     torus_norm,
     wrap_to_symmetric,
@@ -23,33 +26,37 @@ finite = st.floats(min_value=-1e6, max_value=1e6,
 
 
 def test_frac_dist_known_values():
-    assert frac_dist(0.0) == 0.0
-    assert frac_dist(0.5) == 0.5
-    assert frac_dist(2.25) == 0.25
-    assert frac_dist(-2.25) == 0.25
-    assert frac_dist(7.0) == 0.0
+    assert torus_norm(0.0) == 0.0
+    assert torus_norm(0.5) == 0.5
+    assert torus_norm(2.25) == 0.25
+    assert torus_norm(-2.25) == 0.25
+    assert torus_norm(7.0) == 0.0
+    assert torus_norm(3) == 0.0 and isinstance(torus_norm(3), float)
 
 
 def test_frac_dist_array_shape():
     x = np.array([[0.1, 0.9], [1.5, -0.4]])
-    out = frac_dist(x)
+    out = torus_norm(x)
     assert out.shape == (2, 2)
     np.testing.assert_allclose(out, [[0.1, 0.1], [0.5, 0.4]], atol=1e-15)
 
 
 @given(finite)
 def test_frac_dist_integer_shift_invariance(x):
-    assert frac_dist(x + 3.0) == pytest.approx(frac_dist(x), abs=1e-9)
+    assert torus_norm(x + 3.0) == pytest.approx(torus_norm(x), abs=1e-9)
 
 
 @given(finite)
 def test_frac_dist_bounded_by_half(x):
-    assert 0.0 <= frac_dist(x) <= 0.5
+    assert 0.0 <= torus_norm(x) <= 0.5
 
 
 def test_torus_norm_real_matches_frac_dist():
+    # the real branch is |x - rint(x)|, and a zero imaginary part adds
+    # nothing in quadrature
     xs = np.linspace(-3, 3, 101)
-    np.testing.assert_array_equal(torus_norm(xs), frac_dist(xs))
+    np.testing.assert_array_equal(torus_norm(xs), np.abs(xs - np.rint(xs)))
+    np.testing.assert_array_equal(torus_norm(xs + 0j), torus_norm(xs))
 
 
 def test_torus_norm_complex_quadrature():
@@ -64,7 +71,7 @@ def test_torus_norm_complex_quadrature():
 def test_torus_norm_complex_dominates_parts(re, im):
     n = torus_norm(re + 1j * im)
     assert n >= abs(im) - 1e-12
-    assert n >= frac_dist(re) - 1e-12
+    assert n >= torus_norm(re) - 1e-12
 
 
 def test_log_torus_norm_zero_is_quietly_minus_inf():
@@ -79,19 +86,23 @@ def test_log_torus_norm_matches_log():
     np.testing.assert_allclose(out, np.log([0.5, 0.1]))
 
 
-@given(finite)
-def test_wrap_to_unit_range(x):
-    # np.mod may return the right endpoint for tiny negative inputs
-    w = wrap_to_unit(x)
-    assert 0.0 <= w <= 1.0
-    assert frac_dist(w - x) < 1e-6
+@given(finite, st.one_of(st.none(), finite))
+@example(x=-1e-17, im=None)
+@example(x=-1e-17, im=0.0)
+@example(x=-3.0 - 2.0 ** -52, im=None)
+def test_wrap_to_unit_range(x, im):
+    # np.mod rounds tiny negative inputs up to 1.0, the right endpoint
+    w = wrap_to_unit(x if im is None else complex(x, im))
+    assert 0.0 <= w.real < 1.0
+    assert torus_norm(w.real - x) < 1e-6
+    assert w.imag == (0.0 if im is None else im)
 
 
 @given(finite)
 def test_wrap_to_symmetric_range(x):
     w = wrap_to_symmetric(x)
     assert -0.5 <= w <= 0.5
-    assert frac_dist(w - x) < 1e-6
+    assert torus_norm(w - x) < 1e-6
 
 
 def test_wrapping_preserves_imaginary_part():
