@@ -117,6 +117,7 @@ from .model import (
     ModelSpec,
     PotentialSpec,
     assemble_restriction,
+    assemble_t_matrix,
     solve_phase_for_energy,
 )
 from .msa import ScaleSchedule, build_schedule, run_induction
@@ -394,7 +395,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # Version of the cached eigendecomposition: bump it whenever assembly, the
 # eigendecomposition or the stored arrays change, so that entries written
 # by older code get new keys instead of being reused.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 # LAPACK bits can change with the BLAS thread count, so these enter the key
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -435,24 +436,20 @@ def _cache_dir() -> str:
 
 
 def _disk_load(path: str, box) -> EvolutionData | None:
-    """The entry at ``path`` if it exists and fits ``box``, else None."""
+    """The entry at ``path`` if it exists and fits ``box``, else None; the
+    stored sites catch an entry written for another window."""
     try:
         with np.load(path) as data:
-            ev = EvolutionData(data["sites"], data["eigvals"],
-                               data["eigvecs"], int(data["origin_idx"]),
-                               data["weights0"], data["dists"])
+            ev = EvolutionData(data["sites"], data["eigvals"], data["eigvecs"])
     except Exception:
         return None
     n = box.sites.shape[0]
     fits = (ev.sites.dtype == box.sites.dtype
             and np.array_equal(ev.sites, box.sites)
-            and ev.eigvals.dtype == ev.dists.dtype == np.float64
-            and ev.eigvecs.dtype == ev.weights0.dtype
+            and ev.eigvals.dtype == np.float64
             and ev.eigvecs.dtype in (np.float64, np.complex128)
-            and ev.eigvecs.shape == (n, n)
-            and all(a.shape == (n,)
-                    for a in (ev.eigvals, ev.weights0, ev.dists))
-            and 0 <= ev.origin_idx < n)
+            and ev.eigvals.shape == (n,)
+            and ev.eigvecs.shape == (n, n))
     return ev if fits else None
 
 
@@ -478,8 +475,7 @@ def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.savez(fh, sites=ev.sites, eigvals=ev.eigvals,
-                         eigvecs=ev.eigvecs, origin_idx=ev.origin_idx,
-                         weights0=ev.weights0, dists=ev.dists)
+                         eigvecs=ev.eigvecs)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -558,7 +554,7 @@ class _GreenSweep:
 
     def __call__(self, point: dict) -> PointResult:
         model = self.cfg.model
-        delta0 = math.exp(self.cfg.schedule.log_delta[0])
+        delta0 = self.cfg.schedule.delta(0)
         theta, energy = point["theta"], point["energy"]
         sites = self.cfg.window.sites
         theta0 = solve_phase_for_energy(model.potential, energy)
@@ -634,8 +630,7 @@ def _run_dynamics(cfg: ExperimentConfig, point: dict) -> PointResult:
     model, p = cfg.model, cfg.p
     moment = time_avg_moment if cfg.averaged else moment_p
     ev = eigendata(model, cfg.window, point["theta"])
-    t0 = ceiling_onset(math.exp(cfg.schedule.log_delta[0]),
-                       model.potential.beta)
+    t0 = ceiling_onset(cfg.schedule.delta(0), model.potential.beta)
     rho_prime = cfg.schedule.rho_prime
     table = Table(("t", "moment", "bound", "boundary_mass", "gated", "pass"))
     n_fail = 0
@@ -736,14 +731,18 @@ def _suite_rows(cfg: ExperimentConfig) -> list:
 
     rng = np.random.default_rng([cfg.seed, 15])
     ct_n = max(1, instances // 20)
+    draws = rng.uniform([0.0, -1.0], [1.0, 1.0], size=(ct_n, 2))
+    sites = cfg.window.sites.astype(float)
+    # chunks of at most DENSE_CAP**2 entries, the largest single restriction
+    chunk = max(1, DENSE_CAP ** 2 // sites.shape[0] ** 2)
     bad = 0
-    box = cfg.window
-    for _ in range(ct_n):
-        h = assemble_restriction(model, box, rng.uniform(0.0, 1.0), 0.0).matrix
-        z = complex(rng.uniform(-1.0, 1.0), 0.75)
-        bad += not combes_thomas_check(h, box.sites.astype(float), z,
-                                       0.75 * model.hopping.alpha, rho,
-                                       cert.c_hat).holds
+    for lo in range(0, ct_n, chunk):
+        part = draws[lo:lo + chunk]
+        stack = assemble_t_matrix(model, sites, part[:, 0].astype(complex))
+        for h, re_z in zip(stack, part[:, 1].tolist()):
+            bad += not combes_thomas_check(h, sites, complex(re_z, 0.75),
+                                           0.75 * model.hopping.alpha, rho,
+                                           cert.c_hat).holds
     rows.append(("combes-thomas", ct_n, bad))
     return rows
 

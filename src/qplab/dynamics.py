@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -56,32 +57,40 @@ PROFILE_FLOOR = 1e-14
 class EvolutionData:
     """Eigendecomposition of a window restriction, reused by every moment.
 
-    ``weights0`` are the overlaps of the eigenvectors with the origin site,
-    so an amplitude row is ``V (exp(-i w t) * weights0)``.
+    Derived on first use: the origin's row ``origin_idx``, the eigenvector
+    overlaps ``weights0`` with it (an amplitude row is ``V (exp(-i w t) *
+    weights0)``) and the sites' sup-distances ``dists`` from it.
     """
 
     sites: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    origin_idx: int
-    weights0: np.ndarray
-    dists: np.ndarray
+
+    @cached_property
+    def origin_idx(self) -> int:
+        origin = np.flatnonzero(np.all(self.sites == 0, axis=1))
+        if origin.size != 1:
+            raise PreconditionViolated("window must contain the origin site")
+        return int(origin[0])
+
+    @cached_property
+    def weights0(self) -> np.ndarray:
+        return self.eigvecs[self.origin_idx, :].conj()
+
+    @cached_property
+    def dists(self) -> np.ndarray:
+        return np.max(np.abs(self.sites), axis=1).astype(float)
 
 
 def evolve_amplitudes(model: ModelSpec, window: LatticeBox, theta
                       ) -> EvolutionData:
     """Diagonalize ``H(theta)`` on a window around an origin site."""
-    sites = window.sites
-    h = assemble_t_matrix(model, sites, complex(theta))
+    h = assemble_t_matrix(model, window.sites, complex(theta))
     if not is_hermitian(h):
         raise NotHermitian("dynamics needs an exactly Hermitian H(theta)")
-    origin = np.flatnonzero(np.all(sites == 0, axis=1))
-    if origin.size != 1:
-        raise PreconditionViolated("window must contain the origin site")
-    w, v = np.linalg.eigh(h)
-    o = int(origin[0])
-    dists = np.max(np.abs(sites), axis=1).astype(float)
-    return EvolutionData(sites, w, v, o, v[o, :].conj(), dists)
+    ev = EvolutionData(window.sites, *np.linalg.eigh(h))
+    _ = ev.origin_idx  # a window without the origin raises here
+    return ev
 
 
 def amplitudes(ev: EvolutionData, t: float) -> np.ndarray:
@@ -303,8 +312,7 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
             f"beta)) = [{math.exp(lo):.3e}, {math.exp(hi):.3e})")
     onset = math.exp(math.log(t) ** (2.0 / (1.0 + sched.rho_prime)))
 
-    window = run.window
-    sites = window.sites
+    sites = run.window.sites
     t_mat = assemble_t_matrix(model, sites, run.theta,
                               complex(energy, 1.0 / t))
     lu, piv = lu_factor(t_mat, check_finite=False)
@@ -390,15 +398,11 @@ def moment_ceiling_check(ev: EvolutionData, p: float, rho_prime: float,
     if np.any(times < t0):
         raise PreconditionViolated(
             f"all probe times must be >= T_0 = {t0:g}")
-    vals = np.empty_like(times)
-    bounds = np.empty_like(times)
-    edge = 0.0
     moment = time_avg_moment if averaged else moment_p
-    for i, t in enumerate(times):
-        mv = moment(ev, float(t), p)
-        vals[i] = mv.value
-        bounds[i] = moment_ceiling(float(t), p, rho_prime)
-        edge = max(edge, mv.boundary_mass)
+    mvs = [moment(ev, float(t), p) for t in times]
+    vals = np.array([mv.value for mv in mvs])
+    bounds = np.array([moment_ceiling(float(t), p, rho_prime) for t in times])
+    edge = max((mv.boundary_mass for mv in mvs), default=0.0)
     return MomentCeilingReport(float(p), t0, times, vals, bounds,
                                bool(averaged), edge)
 
@@ -433,19 +437,17 @@ def localization_profile(ev: EvolutionData, rho: float) -> tuple:
         live = psi > PROFILE_FLOOR
         x = np.log1p(dist[live]) ** rho
         y = -np.log(psi[live])
-        if x.size < 3 or float(np.max(x)) == 0.0:
-            profiles.append(EigenProfile(float(ev.eigvals[j]),
-                                         tuple(ev.sites[peak].tolist()),
-                                         math.nan, 0.0, int(live.sum())))
-            continue
-        a_mat = np.stack([x, np.ones_like(x)], axis=1)
-        coef, res, _, _ = np.linalg.lstsq(a_mat, y, rcond=None)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        good = 1.0 - float(res[0]) / ss_tot if res.size and ss_tot > 0 \
-            else 0.0
+        rate, good = math.nan, 0.0
+        if x.size >= 3 and float(np.max(x)) != 0.0:
+            a_mat = np.stack([x, np.ones_like(x)], axis=1)
+            coef, res, _, _ = np.linalg.lstsq(a_mat, y, rcond=None)
+            ss_tot = float(np.sum((y - y.mean()) ** 2))
+            rate = float(coef[0])
+            if res.size and ss_tot > 0:
+                good = 1.0 - float(res[0]) / ss_tot
         profiles.append(EigenProfile(float(ev.eigvals[j]),
                                      tuple(ev.sites[peak].tolist()),
-                                     float(coef[0]), good, int(live.sum())))
+                                     rate, good, int(live.sum())))
     return tuple(profiles)
 
 
@@ -465,17 +467,14 @@ def arithmetic_phase_test(theta: float, freq: FrequencyVector,
                           n_max: int) -> ArithmeticReport:
     """Exhaustive scan for doubled-phase resonances ``||2 theta + n.omega||``.
 
-    A site violates when the doubled phase beats ``||n||^-tau`` with the
-    frequency's own ``tau``; for the zero phase with the golden frequency
-    and tau = 2 exactly the first two integers violate, which is the
-    classic arithmetic obstruction profile.  It scans the arithmetic
+    Every nonzero ``n`` in the box of radius ``n_max``, of either sign, is
+    a violation when the doubled phase beats ``||n||^-tau`` (the
+    frequency's ``tau``): for theta = 0, golden omega and tau = 2 exactly
+    +-1 and +-2, the classic obstruction.  It scans the arithmetic
     condition on theta under which the paper proves spectral localization.
     """
-    if freq.dim == 1:
-        sites = np.arange(1, n_max + 1, dtype=np.int64)[:, None]
-    else:
-        sites = box_around(np.zeros(freq.dim), n_max).sites
-        sites = sites[np.max(np.abs(sites), axis=1) > 0]
+    sites = box_around(np.zeros(freq.dim), n_max).sites
+    sites = sites[np.max(np.abs(sites), axis=1) > 0]
     norms = np.max(np.abs(sites), axis=1).astype(float)
     margin = (torus_norm(2.0 * theta + sites @ freq.array())
               * norms ** freq.tau)

@@ -308,29 +308,30 @@ def combes_thomas_check(h: np.ndarray, sites: np.ndarray, z: complex,
     For self-adjoint ``H`` (``model.is_hermitian``) and ``dist(z, spec) >
     2 exp(lam C(rho) log^rho 2) S_lam`` every entry of ``(H - z)^{-1}`` must
     obey ``exp(-lam log^rho(1+dist)) / (D - 2 exp(lam C(rho) log^rho 2)
-    S_lam)``.
-    ``c_rho`` is the certified quasi-metric constant.
+    S_lam)``.  ``c_rho`` is the certified quasi-metric constant, and ``D =
+    dist_to_spectrum`` a certified lower bound on ``dist(z, spec H) =
+    1/||T^{-1}||_2``, ``T = H - z``, inverted by ``green_solve``: the larger
+    of ``|Im z|`` and ``1/op_norm - 2^-52 max|T_ii|``, whose last term pays
+    for rounding ``h_ii - z``.  A smaller ``D`` only raises the bound.
     """
     h = np.asarray(h)
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if not is_hermitian(h):
         raise NotHermitian("Combes-Thomas needs an exactly Hermitian H")
-    dist = pairwise_sup_dist(sites)
-    weight = np.exp(lam * np.log1p(dist) ** rho)
+    log_weight = lam * np.log1p(pairwise_sup_dist(sites)) ** rho
     off = ~np.eye(h.shape[0], dtype=bool)
-    s_lam = float(np.max(np.sum(np.abs(h) * weight * off, axis=1)))
-    spec, vecs = np.linalg.eigh(h)
-    shifted = spec - complex(z)
-    d_spec = float(np.min(np.abs(shifted)))
+    s_lam = float(np.max(np.sum(np.abs(h) * np.exp(log_weight) * off,
+                                axis=1)))
+    t = h - complex(z) * np.eye(h.shape[0])
+    g = green_solve(t)
+    rounding = 2.0 ** -52 * float(np.max(np.abs(t.diagonal())))
+    d_spec = max(abs(complex(z).imag), 1.0 / g.op_norm - rounding)
     denom = d_spec - 2.0 * np.exp(lam * c_rho * LOG2 ** rho) * s_lam
     if denom <= 0.0:
         raise DenominatorNonpositive(
             f"spectral gap {d_spec:.3e} does not dominate the weighted "
             f"row sum term {d_spec - denom:.3e}")
-    g = (vecs / shifted[None, :]) @ vecs.conj().T
     with np.errstate(divide="ignore"):
-        log_excess = (np.log(np.abs(g))
-                      + lam * np.log1p(dist) ** rho + np.log(denom))
+        log_excess = np.log(np.abs(g.matrix)) + log_weight + np.log(denom)
     bad = log_excess > 1e-9
     return CombesThomasReport(s_lam, d_spec, float(denom),
                               float(np.max(log_excess)),
@@ -363,14 +364,11 @@ def determinant_evenness_check(model, sites, z: complex,
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if not symmetric_about_origin(as_sites(2.0 * sites)):
         raise AsymmetricBox("site set is not symmetric about the origin")
-    det = {}
-    for sgn in (1.0, -1.0):
-        t = assemble_t_matrix(model, sites, sgn * complex(z), energy)
-        sign, logabs = np.linalg.slogdet(t)
-        det[sgn] = (complex(sign), float(logabs))
-    (s_p, l_p), (s_m, l_m) = det[1.0], det[-1.0]
+    t = assemble_t_matrix(model, sites, np.array([1.0, -1.0]) * complex(z),
+                          energy)
+    (s_p, s_m), (l_p, l_m) = np.linalg.slogdet(t)
     rel = float(abs(s_p - s_m * np.exp(np.clip(l_m - l_p, -700.0, 700.0))))
-    return EvennessReport(l_p, l_m, rel, rel <= EVENNESS_TOL)
+    return EvennessReport(float(l_p), float(l_m), rel, rel <= EVENNESS_TOL)
 
 
 # ---------------------------------------------------------------------------

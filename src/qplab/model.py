@@ -420,18 +420,22 @@ def assemble_t_matrix(model: ModelSpec, sites, z, energy=0.0) -> np.ndarray:
     Sites may live on a translated half-lattice (the multi-scale tracking
     frame); only their pairwise differences must be integers.  More than
     ``DENSE_CAP`` sites raise ``BoxTooLarge`` before anything is allocated.
-    The result is float64 when its imaginary part is exactly zero (real
-    phase, energy and kernel), so that real input factors in real
-    arithmetic; otherwise it is complex128.
+    An array of phases gives a stack on one hopping table, each matrix bit
+    for bit that of its phase alone.  The result is float64 when its
+    imaginary part is exactly zero (real phases, energy and kernel), so that
+    real input factors in real arithmetic; otherwise it is complex128.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    if sites.shape[0] > DENSE_CAP:
-        raise BoxTooLarge(
-            f"{sites.shape[0]} sites exceed the dense cap of {DENSE_CAP}")
-    phases = z + sites @ model.frequency.array()
+    n = sites.shape[0]
+    if n > DENSE_CAP:
+        raise BoxTooLarge(f"{n} sites exceed the dense cap of {DENSE_CAP}")
+    phases = np.expand_dims(z, -1) + sites @ model.frequency.array()
     diag = np.asarray(eval_potential(model.potential, phases), dtype=complex)
     mat = model.eps * toeplitz_block(model.hopping, sites)
-    np.fill_diagonal(mat, mat.diagonal() + diag - complex(energy))
+    if np.ndim(z):
+        mat = np.broadcast_to(mat, np.shape(z) + mat.shape).copy()
+    on = np.arange(n)
+    mat[..., on, on] = mat[..., on, on] + diag - complex(energy)
     return mat if mat.imag.any() else mat.real.copy()
 
 

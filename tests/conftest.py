@@ -1,9 +1,16 @@
 """Shared fixtures: the standard cosine model at weak coupling."""
 
 import os
-from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose a count: the suite's dense work
+# (root tracking's 120-site LUs above all) gains nothing from a second
+# thread and burns twice the CPU.  This must run before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 from qplab import (
@@ -13,6 +20,13 @@ from qplab import (
     PotentialSpec,
     box_around,
 )
+
+
+def pytest_configure(config):
+    # a silent complex-to-real cast would drop an imaginary part unseen
+    config.addinivalue_line("filterwarnings",
+                            "error::numpy.exceptions.ComplexWarning")
+
 
 # pytest's ``pythonpath`` setting reaches this process only; tests that run
 # ``python -m qplab.cli`` in a subprocess need the source tree as well.

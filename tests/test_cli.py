@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qplab
 import qplab.dynamics
 import qplab.greens
+import qplab.model
 from qplab import cli
 from qplab.cli import (
     KINDS,
@@ -317,10 +318,8 @@ def test_eig_cache_replaces_entry_that_does_not_fit_the_box(tmp_path):
     def single(v):
         return v.real.astype(np.float32)
 
-    # too few columns, then the right shape stored in single precision:
-    # the eigenvectors alone, then both eigenvectors and weights
-    for spoil in ({"eigvecs": lambda v: v[:, :5]}, {"eigvecs": single},
-                  {"eigvecs": single, "weights0": single}):
+    # too few columns, then the right shape stored in single precision
+    for spoil in ({"eigvecs": lambda v: v[:, :5]}, {"eigvecs": single}):
         with np.load(entry) as data:
             arrays = dict(data)
         for name, fn in spoil.items():
@@ -430,13 +429,18 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
     box = box_around(np.zeros(1), 8)
     rest = assemble_restriction(model, box, 0.113, 0.0)
     assert spectrum_bounds(rest).contained
-    assert combes_thomas_check(rest.matrix, box.sites, 0.3 + 1.2j,
-                               0.5, 2.0, 0.5).holds
-    # every path was reached, and none with a complex matrix
+    # every restriction path was reached, and none with a complex matrix
     seen = {(caller, name) for caller, name, _ in dense_calls}
-    assert seen == {("qplab.greens", "eigh"), ("qplab.greens", "lu_factor"),
+    assert seen == {("qplab.greens", "lu_factor"),
                     ("qplab.dynamics", "eigh"), ("qplab.model", "eigvalsh")}
     assert {dtype for _, _, dtype in dense_calls} == {np.dtype(np.float64)}
+    # Combes-Thomas inverts H - z, complex by construction, and takes no
+    # spectrum
+    dense_calls.clear()
+    assert combes_thomas_check(rest.matrix, box.sites, 0.3 + 1.2j,
+                               0.5, 2.0, 0.5).holds
+    assert dense_calls == [("qplab.greens", "lu_factor",
+                            np.dtype(np.complex128))]
 
 
 def test_last_bit_asymmetry_is_not_hermitian(dense_calls, weak_model):
@@ -635,6 +639,51 @@ def test_localize_and_verify_kinds_smoke():
         "det-perturbation", "combes-thomas"]
     assert all(row[2] == 0 for row in table.rows)
     assert exit_code(bundle) == 0
+
+
+def test_combes_thomas_suite_is_the_same_in_any_chunks(monkeypatch):
+    """The suite checks the instances that per-instance draws and
+    assembly gave, in one stack per chunk of at most ``DENSE_CAP**2``
+    entries."""
+    cfg = parse_config(default_config())
+    seen, stacks, tables = [], [], []
+    toeplitz_block = qplab.model.toeplitz_block
+
+    def check(h, sites, z, *args):
+        seen[-1].append((h.tobytes(), z))
+        return combes_thomas_check(h, sites, z, *args)
+
+    def assemble(*args):
+        stack = qplab.model.assemble_t_matrix(*args)
+        stacks[-1].append(stack.size)
+        return stack
+
+    def table(*args):
+        tables[-1] += 1
+        return toeplitz_block(*args)
+
+    monkeypatch.setattr(cli, "combes_thomas_check", check)
+    monkeypatch.setattr(cli, "assemble_t_matrix", assemble)
+    monkeypatch.setattr(qplab.model, "toeplitz_block", table)
+    rows = []
+    # one chunk, then chunks of four 33-site matrices
+    for cap in (cli.DENSE_CAP, 66):
+        monkeypatch.setattr(cli, "DENSE_CAP", cap)
+        seen.append([])
+        stacks.append([])
+        tables.append(0)
+        rows.append(cli._suite_rows(cfg)[-1])
+        assert max(stacks[-1]) <= cap ** 2
+    assert rows[0] == rows[1] == ("combes-thomas", 10, 0)
+    assert stacks == [[10 * 33 ** 2], [4 * 33 ** 2, 4 * 33 ** 2, 2 * 33 ** 2]]
+    assert tables == [1, 3]
+    assert seen[0] == seen[1]
+    rng = np.random.default_rng([cfg.seed, 15])
+    for h, z in seen[0]:
+        rest = assemble_restriction(cfg.model, cfg.window,
+                                    rng.uniform(0.0, 1.0), 0.0)
+        assert (h, z) == (rest.matrix.tobytes(),
+                          complex(rng.uniform(-1.0, 1.0), 0.75))
 
 
 # ---------------------------------------------------------------------------

@@ -319,18 +319,21 @@ def test_localization_profile_recovers_hopping_rate(weak_ev16):
 
 def test_arithmetic_phase_profile(golden_frequency):
     rep = arithmetic_phase_test(0.0, golden_frequency, 50)
-    assert rep.violations == ((1,), (2,))
-    assert rep.count == 2
+    assert rep.violations == ((-1,), (1,), (-2,), (2,))
+    assert rep.count == 4
     omega = float(golden_frequency.array()[0])
     assert rep.worst_margin == pytest.approx(1.0 - omega)
     assert rep.tau == 2.0
-    # oracle for a generic phase: rebuild the violation set directly
+    # oracle for a generic phase: rebuild the violation set directly over
+    # both signs, since ||2 theta - n omega|| differs from ||2 theta + n
+    # omega|| once theta is nonzero (here n = -1 is the worst site)
     theta = 0.31
     other = arithmetic_phase_test(theta, golden_frequency, 20)
-    ns = np.arange(1, 21)
+    ns = np.array(sorted(range(-20, 21), key=abs)[1:])
     resid = np.abs(np.mod(2.0 * theta + ns * omega + 0.5, 1.0) - 0.5)
-    expect = tuple((int(n),) for n in ns[resid * ns ** 2.0 < 1.0])
+    expect = tuple((int(n),) for n in ns[resid * np.abs(ns) ** 2.0 < 1.0])
     assert other.violations == expect
+    assert (-1,) in expect
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -339,6 +339,33 @@ def test_combes_thomas_holds_off_spectrum(weak_model, small_window):
     assert rep.dist_to_spectrum >= 1.2
     assert rep.denominator > 0
     assert rep.holds and rep.violations == 0
+
+
+@given(st.sampled_from(["symmetric", "hermitian"]), st.integers(1, 12),
+       st.integers(0, 2 ** 32 - 1), st.floats(-3.5, 3.5),
+       st.floats(-1.0, 1.0), st.integers(4, 12))
+@settings(max_examples=150, deadline=None)
+def test_combes_thomas_distance_is_certified(kind, n, seed, re_z, im_z,
+                                             digits):
+    """``dist_to_spectrum`` is at least ``|Im z|`` and at most the
+    distance to the ``eigvalsh`` spectrum, up to that oracle's own
+    backward error."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal((n, n))
+    if kind == "hermitian":
+        off = off + 1j * rng.standard_normal((n, n))
+    off = off + off.conj().T
+    off /= max(1.0, float(np.max(np.abs(off))))
+    # a weak coupling keeps the weighted row sum term below 0.01
+    h = np.diag(rng.uniform(-3.0, 3.0, n)) + 10.0 ** -digits * off
+    z = complex(re_z, im_z)
+    exact = float(np.min(np.abs(np.linalg.eigvalsh(h) - z)))
+    assume(exact > 0.05)
+    rep = combes_thomas_check(h, np.arange(n)[:, None], z, 0.1, 2.0, 0.5)
+    assert abs(im_z) <= rep.dist_to_spectrum
+    oracle_error = 4.0 * n * 2.0 ** -53 * float(np.max(np.abs(h).sum(axis=1)))
+    assert rep.dist_to_spectrum <= exact + oracle_error
+    assert rep.holds
 
 
 def test_combes_thomas_rejects_near_spectrum(weak_model, small_window):

@@ -246,6 +246,27 @@ def test_assemble_half_lattice_frame(weak_model):
     assert np.allclose(t, t.conj().T, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim, radius", [(1, 16), (2, 3)])
+@pytest.mark.parametrize("energy", [0.0, 0.41])
+@pytest.mark.parametrize("imag", [0.0, 0.1], ids=["real", "complex"])
+def test_assemble_phase_stack_matches_each_phase(dim, radius, energy, imag):
+    omega = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)[:dim]
+    model = ModelSpec(PotentialSpec.cosine(),
+                      HoppingKernel.saturating(1.0, 2.0),
+                      FrequencyVector(omega, 3.0, 0.1), 1e-3)
+    sites = box_around(np.zeros(dim), radius).sites
+    phases = np.array([0.113, 0.5, 0.97]) + 1j * imag
+    stack = assemble_t_matrix(model, sites, phases, energy)
+    n = sites.shape[0]
+    assert stack.shape == (3, n, n)
+    for z, t in zip(phases, stack):
+        one = assemble_t_matrix(model, sites, complex(z), energy)
+        assert one.dtype == t.dtype
+        assert one.tobytes() == t.tobytes()
+    # a single phase stays a single matrix
+    assert assemble_t_matrix(model, sites, phases[0], energy).ndim == 2
+
+
 def test_assemble_restriction_flags(weak_model, small_window):
     rest = assemble_restriction(weak_model, small_window, 0.113, 0.3)
     assert rest.hermitian
