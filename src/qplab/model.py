@@ -267,11 +267,12 @@ def certify_diophantine(freq: FrequencyVector, n_max: int, *,
         sites = n[:, None]
         norms = n.astype(float)
     else:
-        box = box_around(np.zeros(freq.dim), n_max, site_cap=site_cap)
-        sites = box.sites
+        # ||n . omega||_T is even in n: scan the half box whose first
+        # nonzero coordinate is positive, so each pair +-n counts once
+        sites = box_around(np.zeros(freq.dim), n_max, site_cap=site_cap).sites
+        lead = sites[np.arange(sites.shape[0]), np.argmax(sites != 0, axis=1)]
+        sites = sites[lead > 0]
         norms = np.max(np.abs(sites), axis=1).astype(float)
-        keep = norms > 0
-        sites, norms = sites[keep], norms[keep]
 
     dots = sites @ omega
     margins = torus_norm(dots) * norms ** freq.tau / freq.gamma

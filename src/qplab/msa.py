@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
+    AsymmetricBox,
     NoRootInWindow,
     PreconditionViolated,
     ScheduleOverflow,
@@ -39,6 +40,7 @@ from .greens import DecayFit, decay_scan, green_solve
 from .lattice import (
     LatticeBox,
     _Tiles,
+    as_sites,
     canonical_sites,
     deformation_level,
     set_contains,
@@ -616,19 +618,37 @@ class ThetaStep:
     newton_iters: int
 
 
+# relative tolerance of ``_SchurDet``'s evenness check on a user potential
+EVEN_RTOL = 1e-12
+
+
 class _SchurDet:
-    """Evaluator of det S(z) for the Schur complement S onto the core of a
-    fixed translated frame.
+    """Evaluator of the even function f(z) = det S(z), for the Schur
+    complement S onto the core of a fixed translated frame.
 
     The z-independent blocks of ``eps W`` are sliced once.  Each evaluation
     adds the potential diagonal and makes one ``lu_factor`` call, on the
     rest-rest block; from that one LU it also gives the log-derivative
     f'/f = tr(S^-1 S') by Jacobi's formula, with S' = D'_c + Y D'_r X,
     X = A_rr^-1 A_rc and Y = A_cr A_rr^-1.
+
+    f(-z) = f(z) because A(-z) = P A(z) P under the reflection P: x -> -x,
+    which holds when P maps the frame and its core onto themselves, eps W
+    is symmetric (phi(n) = phi(-n)) and v is even.  The constructor checks
+    the first two and raises ``AsymmetricBox``.  The cosine is even bit for
+    bit; any other potential must satisfy |v(-p) - v(p)| <= ``EVEN_RTOL``
+    max |v(p)| at the phases p of every evaluation, else
+    ``PreconditionViolated`` is raised.
     """
 
     def __init__(self, model: ModelSpec, frame_sites: np.ndarray,
                  core_mask: np.ndarray, energy: complex):
+        if not (symmetric_about_origin(as_sites(2.0 * frame_sites))
+                and symmetric_about_origin(
+                    as_sites(2.0 * frame_sites[core_mask]))):
+            raise AsymmetricBox(
+                "tracking frame or its core is not symmetric about the "
+                "origin")
         self.pot = model.potential
         self.energy = complex(energy)
         core = np.flatnonzero(core_mask)
@@ -638,6 +658,10 @@ class _SchurDet:
         self.slope = frame_sites[np.concatenate([rest, core])] \
             @ model.frequency.array()
         w = model.eps * toeplitz_block(model.hopping, frame_sites)
+        if not np.array_equal(w, w.T):
+            raise AsymmetricBox(
+                "eps W is not symmetric on the tracking frame: the hopping "
+                "amplitude is not even")
         self.w_rr = np.asfortranarray(w[np.ix_(rest, rest)], dtype=complex)
         self.w_rc = w[np.ix_(rest, core)].astype(complex)
         self.w_cr = w[np.ix_(core, rest)].astype(complex)
@@ -646,8 +670,14 @@ class _SchurDet:
 
     def _factor(self, z: complex):
         phases = complex(z) + self.slope
-        d = (np.asarray(eval_potential(self.pot, phases), dtype=complex)
-             - self.energy)
+        v = np.asarray(eval_potential(self.pot, phases), dtype=complex)
+        if self.pot.kind != "cosine":
+            odd = float(np.max(np.abs(eval_potential(self.pot, -phases) - v)))
+            if odd > EVEN_RTOL * float(np.max(np.abs(v))):
+                raise PreconditionViolated(
+                    f"potential is not even: |v(-p) - v(p)| = {odd:.3e} at "
+                    f"the phases of z = {complex(z):.6g}")
+        d = v - self.energy
         nr = self.n_rest
         a = self.w_rr.copy(order="F")
         a[self.rr_diag] += d[:nr]
@@ -758,9 +788,16 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     ``z <- z - 1 / (f'/f)`` (one determinant each) run from the centre
     first, so that eps = 0 is exact, then from four points at 0.3 of the
     radius and from the Delves-Lyness point s1/s0 (the mean of the enclosed
-    roots).  Each root's multiplicity is the winding on a small circle
-    around it (``MULT_SAMPLES`` samples, same doubling rule), and the
-    multiplicities must add up to the winding.
+    roots).  Each new root's multiplicity is the winding on a small circle
+    around it (``MULT_SAMPLES`` samples, same doubling rule), taken as soon
+    as the root is accepted; no further start is launched once the
+    multiplicities add up to the winding, and they must add up to it.
+
+    The candidates come in +- pairs, and f is even (``_SchurDet`` checks
+    the symmetry of the frame, of eps W and of the potential), so only the
+    first member of a pair is searched: its mirror adds the same winding
+    and the negated roots.  A candidate that is its own mirror (c = -c
+    mod 1) is searched and counted once.
     """
     key = family.center_keys()[0]
     c2 = np.asarray(key, dtype=np.int64)
@@ -792,6 +829,18 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         if all(torus_norm(c - o) > 1e-9 for o in dedup):
             dedup.append(c)
     cands = dedup
+    # f is even, so the window around -c holds the negated roots of the
+    # window around c: search the first member of each +- pair only
+    firsts: list = []
+    copies: list = []
+    for c in cands:
+        k = next((k for k, o in enumerate(firsts)
+                  if torus_norm(c + o) <= 1e-9), None)
+        if k is None:
+            firsts.append(c)
+            copies.append(1)
+        else:
+            copies[k] = 2
 
     rest_slope = ev.slope[:ev.n_rest]
     pole_z = np.concatenate([tp - rest_slope, -tp - rest_slope])
@@ -801,7 +850,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     iters_used = 0
     radius_used = 0.0
 
-    for c in cands:
+    for c, n_copies in zip(firsts, copies):
         gap = (float(np.min(torus_norm(pole_z - c)))
                if pole_z.size else float("inf"))
         sep = min((torus_norm(c - o) for o in cands if o is not c),
@@ -824,13 +873,16 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 "straddles a root")
         w, s0, s1c = _count_zeros(*ring, c)
         tol_det = 1e-12 * float(np.median(np.abs(ring[1])))
-        winding_total += w
+        winding_total += n_copies * w
 
         starts = [c + frac * r_win for frac in (0.0, 0.3, 0.3j, -0.3, -0.3j)]
         if w:
             starts.append(c + s1c / s0)
         local: list = []
+        mult = 0
         for z in starts:
+            if mult >= w:
+                break
             f, g = ev.det_logderiv(z)
             for _ in range(NEWTON_BUDGET):
                 iters_used += 1
@@ -846,23 +898,23 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                     break
             if z is None or abs(z - c) >= r_win or abs(f) > 10.0 * tol_det:
                 continue
-            if all(abs(z - r) > 1e-9 for r in local):
-                local.append(z)
-
-        mult = 0
-        for r in local:
-            tiny = max(1e-3 * r_win, 1e-10)
-            ring_r = _sample_ring(ev, r, tiny, MULT_SAMPLES)
-            if ring_r is None:
+            if any(abs(z - r) <= 1e-9 for r in local):
+                continue
+            ring_z = _sample_ring(ev, z, max(1e-3 * r_win, 1e-10),
+                                  MULT_SAMPLES)
+            if ring_z is None:
                 raise WindingMismatch(
                     f"determinant vanishes on the multiplicity circle "
-                    f"around {r:.6g}")
-            mult += abs(_count_zeros(*ring_r, r)[0])
+                    f"around {z:.6g}")
+            mult += abs(_count_zeros(*ring_z, z)[0])
+            local.append(z)
         if mult != w:
             raise WindingMismatch(
                 f"contour around {c:.6g} winds {w} times but Newton found "
                 f"multiplicity {mult}")
         roots.extend(local)
+        if n_copies == 2:
+            roots.extend(-r for r in local)
 
     if winding_total == 0 or not roots:
         raise NoRootInWindow(

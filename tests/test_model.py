@@ -149,6 +149,16 @@ def test_diophantine_2d_box_path():
     assert any(v != 0 for v in cert.worst_site)
 
 
+def test_diophantine_counts_each_pm_pair_once():
+    # n . omega is an integer for the 6 pairs +-n of the box with n1 + n2
+    # even; the whole box counted 12
+    freq = FrequencyVector((0.5, 0.5), 3.0, 0.2)
+    cert = certify_diophantine(freq, 2, raise_on_violation=False)
+    assert cert.violations == 6
+    lead = next(v for v in cert.worst_site if v != 0)
+    assert lead > 0
+
+
 def test_frequency_validation():
     with pytest.raises(ValueError):
         FrequencyVector((1.5,), 2.0, 0.2)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qplab.msa
 from qplab import (
     FrequencyVector,
     HoppingKernel,
@@ -27,6 +28,7 @@ from qplab import (
     verify_good_set,
 )
 from qplab.errors import (
+    AsymmetricBox,
     PreconditionViolated,
     ScheduleOverflow,
     SeparationViolated,
@@ -359,13 +361,31 @@ def test_construct_blocks_closes_a_long_chain(sched19, n_tiles, reach):
 # root tracking
 
 
-def test_track_theta_case1_plant(planted_model, sched19):
+def _count_lu(monkeypatch) -> list:
+    """Counts the calls to ``lu_factor`` made through ``qplab.msa``."""
+    calls = [0]
+    real = qplab.msa.lu_factor
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qplab.msa, "lu_factor", counted)
+    return calls
+
+
+def test_track_theta_case1_plant(planted_model, sched19, monkeypatch):
     window = box_around(np.zeros(1), 64)
     fam = construct_blocks(np.asarray([[0]]), {(0,): np.asarray([[0]])},
                            1, 1, (0,), sched19, [], window)
     theta0 = solve_phase_for_energy(planted_model.potential, 0.3)
     case = CaseData(1, None, None, None, math.inf)
+    lu = _count_lu(monkeypatch)
     step = track_theta(planted_model, fam, theta0, case, sched19, 1, 0.3)
+    # one determinant per LU: 254 per root when both members of the +-
+    # pair were searched and Newton ran every start, 146 with the mirror
+    # and the early stop
+    assert lu[0] / len(step.roots) <= 150
     assert step.case == 1
     assert step.deviation_ok and step.det_violations == 0
     assert step.deviation == pytest.approx(4.72e-9, rel=0.05)
@@ -386,7 +406,7 @@ def test_track_theta_zero_coupling_is_exact(planted_model, sched19):
     assert step.deviation == 0.0
 
 
-def test_track_theta_case2_merge():
+def test_track_theta_case2_merge(monkeypatch):
     pot = PotentialSpec.cosine()
     kern = HoppingKernel.saturating(1.0, 2.0)
     freq = FrequencyVector.golden()
@@ -400,7 +420,11 @@ def test_track_theta_case2_merge():
                            1, 2, (1,), sched, [], window)
     theta0 = solve_phase_for_energy(pot, 0.3)
     case = CaseData(2, (1,), (2,), (0,), 1.0)
+    lu = _count_lu(monkeypatch)
     step = track_theta(model, fam, theta0, case, sched, 1, 0.3)
+    # four candidates, two +- pairs, two roots: 460 LUs (230 per root)
+    # when every candidate was searched, 229 with the mirror
+    assert lu[0] / len(step.roots) <= 120
     omega = freq.array()[0]
     assert step.expected == pytest.approx(canonical_root(
         complex(omega / 2.0 + theta0)))
@@ -542,6 +566,8 @@ def _tracking_input(name):
         pot = dataclasses.replace(pot, kind="user",
                                   fn=lambda z: np.cos(2.0 * np.pi * z))
         energy = 0.3
+    elif name == "case1-plant":
+        energy = 0.3
     else:
         # criterion 4's energy draws, by index
         draw = int(name.removeprefix("crit4-draw"))
@@ -571,15 +597,20 @@ def test_track_theta_matches_fixed_sample_oracle(name):
         assert step.window_radius == pytest.approx(2.2e-6, rel=0.01)
 
 
-@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge",
-                                  "user-cosine"])
-def test_schur_logderiv_matches_central_difference(name):
-    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+def _schur_det(model, fam, energy):
+    """``_SchurDet`` on the frame ``track_theta`` builds for ``fam``."""
     key = fam.center_keys()[0]
     frame = (2 * fam.enlarged[key] - np.asarray(key)) / 2.0
     core = np.zeros(frame.shape[0], dtype=bool)
     core[site_index(fam.enlarged[key], fam.cores[key])] = True
-    ev = _SchurDet(model, frame, core, energy)
+    return _SchurDet(model, frame, core, energy)
+
+
+@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge",
+                                  "user-cosine"])
+def test_schur_logderiv_matches_central_difference(name):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    ev = _schur_det(model, fam, energy)
     for off in (0.004, 0.003j, -0.002 + 0.001j):
         z = complex(theta_prev) + off
         f, g = ev.det_logderiv(z)
@@ -587,6 +618,52 @@ def test_schur_logderiv_matches_central_difference(name):
         fd = (ev.det(z + h) - ev.det(z - h)) / (2.0 * h) / f
         assert f == ev.det(z)
         assert abs(g - fd) <= 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("name", ["case1-plant", "case2-merge"])
+def test_schur_det_is_even(name):
+    # the identity behind track_theta's mirror: f(-z) = f(z), so
+    # f'/f(-z) = -f'/f(z)
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    ev = _schur_det(model, fam, energy)
+    ring = complex(theta_prev) + 0.003 * np.exp(2j * np.pi * np.arange(16)
+                                                / 16)
+    for z in ring:
+        f, g = ev.det_logderiv(z)
+        f_m, g_m = ev.det_logderiv(-z)
+        assert abs(f_m - f) <= 1e-12 * abs(f)
+        assert abs(g_m + g) <= 1e-12 * abs(g)
+
+
+def test_track_theta_refuses_an_odd_kernel_or_frame():
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("case1-plant")
+    frame = np.arange(-1.5, 3.0)[:, None]
+    with pytest.raises(AsymmetricBox, match="frame or its core"):
+        _SchurDet(model, frame, np.arange(5) == 2, energy)
+    with pytest.raises(AsymmetricBox, match="frame or its core"):
+        _SchurDet(model, frame[:4], np.arange(4) == 1, energy)
+    sat = model.hopping
+
+    def lopsided(diffs):
+        # within the envelope, but phi(n) = phi(-n) / 2 for n < 0
+        return sat.fn(diffs) * np.where(diffs[:, 0] < 0, 0.5, 1.0)
+
+    odd = dataclasses.replace(model, hopping=HoppingKernel.from_callable(
+        sat.alpha, sat.rho, lopsided))
+    with pytest.raises(AsymmetricBox, match="eps W"):
+        track_theta(odd, fam, theta_prev, case, sched, 1, energy)
+
+
+def test_track_theta_refuses_a_potential_that_is_not_even():
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("case1-plant")
+    tilted = dataclasses.replace(
+        model.potential, kind="user",
+        fn=lambda z: np.cos(2.0 * np.pi * z) + 1e-3 * np.sin(2.0 * np.pi * z))
+    with pytest.raises(PreconditionViolated, match="not even"):
+        track_theta(dataclasses.replace(model, potential=tilted), fam,
+                    theta_prev, case, sched, 1, energy)
 
 
 class _Linear:
