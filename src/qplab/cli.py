@@ -48,9 +48,10 @@ An explicitly empty grid (``"theta": []``) is an intentional empty sweep
 and produces a manifest-only bundle; an absent grid is a config error.
 Exit codes: 0 all points pass, 1 at least one recorded violation, 2
 configuration or runtime failure.  Eigendecompositions are cached between
-runs in ``QPLAB_CACHE_DIR`` (default ``~/.cache/qplab-eig``) under a key
-that pins numpy, scipy and the BLAS threads, so cache state never changes
-bundle contents, only speed.  ``--jobs N`` runs N points at a time.
+runs in ``QPLAB_CACHE_DIR`` (default ``~/.cache/qplab-eig``, at most
+``CACHE_MAX_BYTES``, least recently used out first) under a key that pins
+numpy, scipy and the BLAS threads, so cache state never changes bundle
+contents, only speed.  ``--jobs N`` runs N points at a time.
 """
 
 from __future__ import annotations
@@ -397,6 +398,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # by older code get new keys instead of being reused.
 CACHE_SCHEMA = 4
 
+# Byte cap of the disk cache: after each store the least recently used
+# entries go until the ``.npz`` files add up to at most this.  An entry at
+# the 4,095-site cap holds 134 MB, so the cap keeps fifteen of those.
+CACHE_MAX_BYTES = 2 * 1024 ** 3
+
 # LAPACK bits can change with the BLAS thread count, so these enter the key
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -453,12 +459,35 @@ def _disk_load(path: str, box) -> EvolutionData | None:
     return ev if fits else None
 
 
+def _evict(disk_dir: str) -> None:
+    """Removes entries, least recently used first (oldest mtime; a hit
+    refreshes it), until they fit ``CACHE_MAX_BYTES``.  A file that another
+    worker removed first is skipped: it is gone either way."""
+    entries = []
+    with os.scandir(disk_dir) as it:
+        for entry in it:
+            if entry.name.endswith(".npz"):
+                with contextlib.suppress(FileNotFoundError):
+                    st = entry.stat()
+                    entries.append((st.st_mtime_ns, entry.name, st.st_size))
+    total = sum(size for _, _, size in entries)
+    for _, name, size in sorted(entries):
+        if total <= CACHE_MAX_BYTES:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(disk_dir, name))
+        total -= size
+
+
 def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
     """The eigendecomposition of ``H(theta)`` on ``box``, from disk if stored.
 
-    A miss computes it and stores it atomically; nothing stays in memory.
-    Only models of the built-in kinds use the disk: ``cache_key`` holds
-    every number that defines them, but not a user callable.
+    A miss computes it, stores it atomically and evicts down to
+    ``CACHE_MAX_BYTES``; a hit refreshes the entry's mtime.  Nothing stays
+    in memory, and an entry that another worker evicts before it is read is
+    recomputed.  Only models of the built-in kinds use the disk:
+    ``cache_key`` holds every number that defines them, but not a user
+    callable.
     """
     if (model.potential.kind, model.hopping.kind) != ("cosine", "saturating"):
         return evolve_amplitudes(model, box, theta)
@@ -466,6 +495,8 @@ def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
     path = os.path.join(disk_dir, cache_key(model, box, theta) + ".npz")
     ev = _disk_load(path, box)
     if ev is not None:
+        with contextlib.suppress(OSError):
+            os.utime(path)
         return ev
     ev = evolve_amplitudes(model, box, theta)
     # a store that fails costs the entry, never the result
@@ -480,6 +511,7 @@ def eigendata(model: ModelSpec, box, theta) -> EvolutionData:
         except BaseException:
             os.unlink(tmp)
             raise
+        _evict(disk_dir)
     return ev
 
 
@@ -595,35 +627,60 @@ class _GreenSweep:
         return res
 
 
-def _run_msa(cfg: ExperimentConfig, point: dict) -> PointResult:
-    run = run_induction(cfg.model, point["theta"], point["energy"],
-                        cfg.window, cfg.schedule, cfg.s_target)
-    table = Table(("s", "case", "shift2", "theta_re", "theta_im",
-                   "resonant_sites", "blocks", "pad_realized",
-                   "pad_declared", "deviation", "deviation_bound",
-                   "winding", "det_violations", "pass"))
-    n_fail = 0
-    res0 = run.res(0)
-    table.rows.append((0, "", "", float(res0.theta_s.real),
-                       float(res0.theta_s.imag), len(res0.q2), 0, 0, 0,
-                       0.0, 0.0, 0, 0, True))
-    for sd in run.scales[1:]:
-        fam, step = sd.family, sd.theta_step
-        shift = "" if step.l is None else ";".join(str(int(v)) for v in step.l)
-        ok = step.deviation_ok and step.det_violations == 0
-        n_fail += 0 if ok else 1
-        table.rows.append((sd.s, step.case, shift, float(sd.res.theta_s.real),
-                           float(sd.res.theta_s.imag), len(sd.res.q2),
-                           len(fam.centers2), fam.realized_pad,
-                           fam.declared_pad, float(step.deviation),
-                           float(step.deviation_bound),
-                           int(step.winding_total), int(step.det_violations),
-                           ok))
-    res = _status(n_fail, len(table.rows),
-                  f"reached scale {run.depth} of {cfg.s_target}"
-                  if run.depth < cfg.s_target else "")
-    res.tables["msa"] = table
-    return res
+class _MsaSweep:
+    """The points of one msa sweep and the roots they share, as the
+    ``roots`` mapping of ``run_induction``.  A lookup and a store each take
+    the lock but the tracking between them does not, so two threads that
+    miss one key both track it and keep the first, equal, step.  An
+    instance lives for one ``run()`` call.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self._lock = threading.Lock()
+        self._roots: dict = {}
+
+    def get(self, key, default=None):
+        with self._lock:
+            return self._roots.get(key, default)
+
+    def setdefault(self, key, step):
+        with self._lock:
+            return self._roots.setdefault(key, step)
+
+    def __call__(self, point: dict) -> PointResult:
+        cfg = self.cfg
+        run = run_induction(cfg.model, point["theta"], point["energy"],
+                            cfg.window, cfg.schedule, cfg.s_target,
+                            roots=self)
+        table = Table(("s", "case", "shift2", "theta_re", "theta_im",
+                       "resonant_sites", "blocks", "pad_realized",
+                       "pad_declared", "deviation", "deviation_bound",
+                       "winding", "det_violations", "pass"))
+        n_fail = 0
+        res0 = run.res(0)
+        table.rows.append((0, "", "", float(res0.theta_s.real),
+                           float(res0.theta_s.imag), len(res0.q2), 0, 0, 0,
+                           0.0, 0.0, 0, 0, True))
+        for sd in run.scales[1:]:
+            fam, step = sd.family, sd.theta_step
+            shift = ("" if step.l is None
+                     else ";".join(str(int(v)) for v in step.l))
+            ok = step.deviation_ok and step.det_violations == 0
+            n_fail += 0 if ok else 1
+            table.rows.append((sd.s, step.case, shift,
+                               float(sd.res.theta_s.real),
+                               float(sd.res.theta_s.imag), len(sd.res.q2),
+                               len(fam.centers2), fam.realized_pad,
+                               fam.declared_pad, float(step.deviation),
+                               float(step.deviation_bound),
+                               int(step.winding_total),
+                               int(step.det_violations), ok))
+        res = _status(n_fail, len(table.rows),
+                      f"reached scale {run.depth} of {cfg.s_target}"
+                      if run.depth < cfg.s_target else "")
+        res.tables["msa"] = table
+        return res
 
 
 def _run_dynamics(cfg: ExperimentConfig, point: dict) -> PointResult:
@@ -759,9 +816,9 @@ def _run_verify(cfg: ExperimentConfig, point: dict) -> PointResult:
     return res
 
 
+_SWEEPS = {"green": _GreenSweep, "msa": _MsaSweep}
 _HANDLERS = {
     "assemble": _run_assemble,
-    "msa": _run_msa,
     "dynamics": _run_dynamics,
     "localize": _run_localize,
     "verify-lemmas": _run_verify,
@@ -790,8 +847,8 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     """
     t_start = time.monotonic()
     points = cfg.points
-    # a green sweep's shared data lives exactly as long as this call
-    handler = (_GreenSweep(cfg) if cfg.kind == "green"
+    # a green or msa sweep's shared data lives exactly as long as this call
+    handler = (_SWEEPS[cfg.kind](cfg) if cfg.kind in _SWEEPS
                else functools.partial(_HANDLERS[cfg.kind], cfg))
 
     def point(i: int) -> PointResult:

@@ -222,6 +222,8 @@ class FrequencyVector:
     n_cert: int = 0
 
     def __post_init__(self):
+        # a tuple even when given a list: msa keys tracked roots on the model
+        object.__setattr__(self, "omega", tuple(self.omega))
         if any(not (0.0 <= w <= 1.0) for w in self.omega):
             raise ValueError("frequency components must lie in [0, 1]")
         if self.tau <= len(self.omega):

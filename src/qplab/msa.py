@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -613,7 +613,6 @@ class ThetaStep:
     roots: tuple
     winding_total: int
     window_radius: float
-    det_checked: int
     det_violations: int
     newton_iters: int
 
@@ -767,6 +766,18 @@ def _count_zeros(z: np.ndarray, f: np.ndarray, g: np.ndarray,
     return w, s0, complex(np.mean((z - c) ** 2 * g))
 
 
+def _tracking_frame(family: BlockFamily) -> tuple:
+    """``(frame, core_mask)``: the first enlarged block of ``family``
+    translated to the origin, and the mask of its core.  This is all that
+    root tracking reads of a family."""
+    key = family.center_keys()[0]
+    c2 = np.asarray(key, dtype=np.int64)
+    frame = (2 * family.enlarged[key] - c2) / 2.0
+    core_mask = np.zeros(frame.shape[0], dtype=bool)
+    core_mask[site_index(family.enlarged[key], family.cores[key])] = True
+    return frame, core_mask
+
+
 def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 case: CaseData, schedule: ScaleSchedule, s_next: int,
                 energy: complex) -> ThetaStep:
@@ -799,12 +810,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     and the negated roots.  A candidate that is its own mirror (c = -c
     mod 1) is searched and counted once.
     """
-    key = family.center_keys()[0]
-    c2 = np.asarray(key, dtype=np.int64)
-    frame = (2 * family.enlarged[key] - c2) / 2.0
-    core_mask = np.zeros(frame.shape[0], dtype=bool)
-    core_mask[site_index(family.enlarged[key], family.cores[key])] = True
-    ev = _SchurDet(model, frame, core_mask, energy)
+    ev = _SchurDet(model, *_tracking_frame(family), energy)
 
     omega = model.frequency.array()
     tp = complex(theta_prev)
@@ -932,7 +938,6 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 math.exp(max(schedule.z_exp * schedule.log_delta[s_next],
                              -MAX_EXP)))
     log_dp = schedule.log_delta[s_next - 1]
-    checked = 0
     bad = 0
     for rr in np.geomspace(max(z_cap * 1e-3, 1e-12), z_cap * 0.99, 8):
         for ang in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
@@ -941,13 +946,12 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
             lhs = math.log(abs(det)) if det != 0 else -math.inf
             rhs = (log_dp + log_torus_norm(z - theta_next)
                    + log_torus_norm(z + theta_next))
-            checked += 1
             if lhs < rhs - 1e-9:
                 bad += 1
 
     return ThetaStep(s_next, case.case, case.l, theta_next, expected,
                      deviation, dev_bound, deviation <= dev_bound,
-                     tuple(canon), winding_total, radius_used, checked, bad,
+                     tuple(canon), winding_total, radius_used, bad,
                      iters_used)
 
 
@@ -955,15 +959,39 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
 # driver
 
 
+def _root_key(model: ModelSpec, schedule: ScaleSchedule, family: BlockFamily,
+              theta_prev: complex, case: CaseData, s_next: int,
+              energy: complex) -> tuple:
+    """Everything ``track_theta`` reads, hashable: the model with its
+    callables by identity (``ModelSpec``'s equality leaves them out), the
+    schedule, the next scale, the case and ``l``, the exact bits of the
+    previous root and of E, and the translated frame and core mask."""
+    frame, core_mask = _tracking_frame(family)
+    return (model, model.potential.fn, model.hopping.fn, schedule, s_next,
+            case.case, case.l, np.complex128(theta_prev).tobytes(),
+            np.complex128(energy).tobytes(), frame.shape, frame.tobytes(),
+            core_mask.tobytes())
+
+
 def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
-                  schedule: ScaleSchedule, s_target: int) -> MsaRun:
+                  schedule: ScaleSchedule, s_target: int, *,
+                  roots: MutableMapping | None = None) -> MsaRun:
     """Run the ladder from scale 0 up to ``s_target`` inside one window.
 
     Stops early (with fewer recorded scales) when the resonance set empties
     out, which simply means the window holds no deeper structure.
+
+    ``roots`` maps a tracking key to its ``ThetaStep``.  The key is all
+    that ``track_theta`` reads (``_root_key``), which leaves out the phase,
+    so runs that share one mapping and build the same translated block at
+    one E track its root once.  A miss tracks and stores with
+    ``setdefault``; a call that raises stores nothing.  The mapping needs
+    only ``get`` and ``setdefault``; without one, each call uses a fresh
+    dict.
     """
     if s_target > schedule.s_max:
         raise ValueError("schedule is too short for the requested depth")
+    roots = {} if roots is None else roots
     theta, e_val = complex(theta), complex(energy)
     theta0 = solve_phase_for_energy(model.potential, e_val)
 
@@ -1000,8 +1028,12 @@ def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
         lower = [sd.family for sd in run.scales[1:]]
         family = construct_blocks(p_next2, cores, s + 1, case.case, offset2,
                                   schedule, lower, window)
-        step = track_theta(model, family, cur.res.theta_s, case, schedule,
-                           s + 1, e_val)
+        key = _root_key(model, schedule, family, cur.res.theta_s, case,
+                        s + 1, e_val)
+        step = roots.get(key)
+        if step is None:
+            step = roots.setdefault(key, track_theta(
+                model, family, cur.res.theta_s, case, schedule, s + 1, e_val))
         res = detect_resonances(model, theta, s + 1, step.theta, schedule,
                                 p_next2, offset2)
         run.scales.append(ScaleData(s + 1, res, family, theta_step=step,

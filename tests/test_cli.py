@@ -2,11 +2,13 @@
 
 import functools
 import json
+import math
 import os
 import reprlib
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ import qplab
 import qplab.dynamics
 import qplab.greens
 import qplab.model
+import qplab.msa
 from qplab import cli
 from qplab.cli import (
     KINDS,
@@ -301,6 +304,47 @@ def test_eigendata_keeps_user_kernels_off_disk(cosine_potential,
             evs[-1].eigvals, evolve_amplitudes(model, box, 0.2).eigvals)
     assert not np.array_equal(evs[0].eigvals, evs[1].eigvals)
     assert list((tmp_path / "eig-cache").glob("*")) == []
+
+
+def test_eigendata_evicts_least_recently_used(weak_model, tmp_path,
+                                              monkeypatch):
+    box = box_around(np.zeros(1), 6)
+    disk = tmp_path / "eig-cache"
+
+    def entry(theta):
+        return disk / (cache_key(weak_model, box, theta) + ".npz")
+
+    for age, theta in ((300, 0.1), (200, 0.2)):
+        eigendata(weak_model, box, theta)
+        old = entry(theta).stat().st_mtime - age
+        os.utime(entry(theta), (old, old))
+    size = entry(0.1).stat().st_size
+    # a hit makes 0.1 the most recently used entry, so 0.2 goes first
+    eigendata(weak_model, box, 0.1)
+    monkeypatch.setattr(cli, "CACHE_MAX_BYTES", 2 * size)
+    eigendata(weak_model, box, 0.3)
+    assert sorted(disk.glob("*.npz")) == sorted([entry(0.1), entry(0.3)])
+    # a cap below one entry evicts even the newest; the result stands
+    monkeypatch.setattr(cli, "CACHE_MAX_BYTES", size - 1)
+    ev = eigendata(weak_model, box, 0.4)
+    assert list(disk.glob("*.npz")) == []
+    np.testing.assert_array_equal(
+        ev.eigvecs, evolve_amplitudes(weak_model, box, 0.4).eigvecs)
+
+
+def test_eviction_does_not_change_a_dynamics_bundle(tmp_path, monkeypatch):
+    raw = make_raw("dynamics", {"radius": 8, "theta": [0.1, 0.2, 0.3],
+                                "times": [2.0, 200.0]})
+    emit(run(parse_config(raw)), str(tmp_path / "roomy"))
+    # room for one entry: every store evicts the one before it
+    size = next((tmp_path / "eig-cache").glob("*.npz")).stat().st_size
+    monkeypatch.setattr(cli, "CACHE_MAX_BYTES", size)
+    monkeypatch.setenv("QPLAB_CACHE_DIR", str(tmp_path / "tight-eig"))
+    for name in ("cold", "warm"):
+        emit(run(parse_config(raw), jobs=2), str(tmp_path / name))
+        assert len(list((tmp_path / "tight-eig").glob("*.npz"))) == 1
+        assert _read_bundle(tmp_path / name) == \
+            _read_bundle(tmp_path / "roomy")
 
 
 def _bundle_bytes(path):
@@ -594,6 +638,85 @@ def test_msa_sweep_reports_reached_depth():
     bundle = run(parse_config(raw))
     assert [e["status"] for e in bundle.summary] == ["pass"]
     assert "reached scale 0 of 1" in bundle.summary[0]["detail"]
+
+
+def _planted_msa_sweep():
+    """Two case-1 climbers at E = 0.3 and one stopper, planted as the
+    msa-ladder benchmark plants them: a climber puts the site ``k`` in the
+    - shell, theta + k omega = theta0 + off with |off| < delta0."""
+    omega = (math.sqrt(5.0) - 1.0) / 2.0
+    theta0 = math.acos(0.3) / (2.0 * math.pi)
+    climbers = [(theta0 - k * omega + off) % 1.0
+                for k, off in ((21, -7.7e-4), (9, -8.4e-4))]
+    return {"radius": 128, "theta": climbers + [0.0793], "energy": [0.3],
+            "s_target": 1}
+
+
+def _msa_raw(sweep):
+    return make_raw("msa", sweep, model={"eps": 1e-4},
+                    schedule={"rho_prime": 1.9, "delta0": 1e-3})
+
+
+def test_msa_sweep_tracks_a_shared_root_once(tmp_path, monkeypatch):
+    calls = []
+    real = qplab.msa.track_theta
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qplab.msa, "track_theta", counted)
+    sweep = _planted_msa_sweep()
+    cfg = parse_config(_msa_raw(sweep))
+    bundle = run(cfg)
+    # both climbers reach scale 1 with one tracking call between them
+    assert len(calls) == 1
+    depths = [len(bundle.artifacts[f"msa_{i:03d}"].rows) - 1
+              for i in range(3)]
+    assert sorted(depths) == [0, 1, 1]
+    assert all(e["status"] == "pass" for e in bundle.summary)
+    emit(bundle, str(tmp_path / "shared"))
+    shared = _read_bundle(tmp_path / "shared")
+
+    # each point's table is the one it gets in a sweep of its own
+    for i, theta in enumerate(cfg.points):
+        own = dict(sweep, theta=[theta["theta"]])
+        emit(run(parse_config(_msa_raw(own))), str(tmp_path / f"own{i}"))
+        assert (tmp_path / f"own{i}" / "msa_000.csv").read_bytes() == \
+            shared[f"msa_{i:03d}.csv"]
+    emit(run(cfg, jobs=2), str(tmp_path / "pooled"))
+    assert _read_bundle(tmp_path / "pooled") == shared
+
+    # the shared roots live for one run() call: each run tracks afresh
+    calls.clear()
+    run(cfg)
+    run(cfg)
+    assert len(calls) == 2
+
+
+def test_msa_sweep_race_costs_a_track_not_a_byte(tmp_path, monkeypatch):
+    # both climbers miss the shared key before either stores its step
+    real = qplab.msa.track_theta
+    barrier = threading.Barrier(2, timeout=60)
+    calls = []
+
+    def racing(*args):
+        calls.append(args)
+        barrier.wait()
+        return real(*args)
+
+    cfg = parse_config(_msa_raw(_planted_msa_sweep()))
+    emit(run(cfg), str(tmp_path / "serial"))
+    monkeypatch.setattr(qplab.msa, "track_theta", racing)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emit(run(cfg, jobs=4), str(tmp_path / "raced"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 2
+    assert _read_bundle(tmp_path / "raced") == \
+        _read_bundle(tmp_path / "serial")
 
 
 def test_dynamics_sweep_shares_eigendecompositions(tmp_path):

@@ -166,6 +166,10 @@ def test_frequency_validation():
         FrequencyVector((0.5,), 0.5, 0.2)
     with pytest.raises(ValueError):
         FrequencyVector((0.5,), 2.0, 0.0)
+    # a list is stored as a tuple, so the vector stays hashable
+    listed = FrequencyVector([0.5], 2.0, 0.2)
+    assert listed == FrequencyVector((0.5,), 2.0, 0.2)
+    assert hash(listed) == hash(FrequencyVector((0.5,), 2.0, 0.2))
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,57 @@ def test_run_induction_depth_zero_when_window_is_clear(planted_model):
         run_induction(planted_model, 0.113, 0.3, win, sched, 5)
 
 
+def _case1_theta(model, energy: float, k: int) -> float:
+    """Phase that puts site ``k`` in the - shell at ``energy``, 5e-4 off:
+    a case-1 climber in the radius-64 window."""
+    theta0 = solve_phase_for_energy(model.potential, energy).real
+    return (theta0 - k * float(model.frequency.array()[0]) - 5e-4) % 1.0
+
+
+def test_run_induction_shares_roots_by_key(planted_model, sched19):
+    # g_delta moves delta_1 but not N_1, so both schedules build one frame
+    sched_b = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.9,
+                             s_max=1, delta0=1e-3, n0=8, g_delta=3.0)
+    win = box_around(np.zeros(1), 64)
+    shared: dict = {}
+    for eps in (1e-4, 2e-4):
+        model = dataclasses.replace(planted_model, eps=eps)
+        for energy in (0.25, 0.28):
+            for sched in (sched19, sched_b):
+                # the blocks around sites 0 and 2 translate to one frame
+                for k in (0, 2):
+                    theta = _case1_theta(model, energy, k)
+                    run = run_induction(model, theta, energy, win, sched, 1,
+                                        roots=shared)
+                    fresh = run_induction(model, theta, energy, win, sched,
+                                          1, roots={})
+                    assert run.depth == 1
+                    assert run.scales[1].theta_step == \
+                        fresh.scales[1].theta_step
+    # one root per (eps, E, schedule), each shared by both phases
+    assert len(shared) == 8
+
+
+def test_run_induction_stores_no_failed_track(planted_model, sched19,
+                                              monkeypatch):
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise WindingMismatch("planted")
+
+    monkeypatch.setattr(qplab.msa, "track_theta", fail)
+    win = box_around(np.zeros(1), 64)
+    theta = _case1_theta(planted_model, 0.25, 0)
+    roots: dict = {}
+    for _ in range(2):
+        with pytest.raises(WindingMismatch, match="planted"):
+            run_induction(planted_model, theta, 0.25, win, sched19, 1,
+                          roots=roots)
+        assert roots == {}
+    assert len(calls) == 2
+
+
 @pytest.fixture(scope="module")
 def planted_run(planted_model, sched19):
     omega = planted_model.frequency.array()
