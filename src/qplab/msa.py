@@ -602,6 +602,10 @@ class MsaRun:
 
 @dataclass(frozen=True)
 class ThetaStep:
+    """A tracked root.  ``window_radius`` is the radius of the ring that
+    holds ``theta``; ``det_violations`` counts that ring's samples below the
+    lower bound's floor, plus 1 if its disk leaves the ring."""
+
     s: int
     case: int
     l: tuple | None
@@ -667,7 +671,8 @@ class _SchurDet:
         self.w_cc = w[np.ix_(core, core)].astype(complex)
         self.rr_diag = np.diag_indices(rest.size)
 
-    def _factor(self, z: complex):
+    def det_logderiv(self, z: complex) -> tuple:
+        """(det S(z), f'/f at z); f'/f is NaN where det S is exactly 0."""
         phases = complex(z) + self.slope
         v = np.asarray(eval_potential(self.pot, phases), dtype=complex)
         if self.pot.kind != "cosine":
@@ -683,19 +688,10 @@ class _SchurDet:
         lu = lu_factor(a, overwrite_a=True, check_finite=False)
         x = lu_solve(lu, self.w_rc, check_finite=False)
         s = self.w_cc + np.diag(d[nr:]) - self.w_cr @ x
-        return s, lu, x, phases
-
-    def det(self, z: complex) -> complex:
-        return complex(np.linalg.det(self._factor(z)[0]))
-
-    def det_logderiv(self, z: complex) -> tuple:
-        """(det S(z), f'/f at z); f'/f is NaN where det S is exactly 0."""
-        s, lu, x, phases = self._factor(z)
         f = complex(np.linalg.det(s))
         if f == 0:
             return f, complex(math.nan)
         dv = eval_potential_derivative(self.pot, phases)
-        nr = self.n_rest
         yt = lu_solve(lu, self.w_cr.T, trans=1, check_finite=False)
         ds = np.diag(dv[nr:]) + yt.T @ (dv[:nr, None] * x)
         return f, complex(np.trace(np.linalg.solve(s, ds)))
@@ -709,13 +705,6 @@ MAX_RING_SAMPLES = 4096
 MAX_ARG_STEP = math.pi / 4.0
 # Newton steps per start before ``track_theta`` abandons that start
 NEWTON_BUDGET = 60
-
-
-def _winding(vals: np.ndarray) -> int:
-    ang = np.angle(vals)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = (inc + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(float(np.sum(inc)) / (2.0 * np.pi)))
 
 
 def _sample_ring(ev: _SchurDet, c: complex, r: float, n: int):
@@ -757,13 +746,48 @@ def _count_zeros(z: np.ndarray, f: np.ndarray, g: np.ndarray,
     agree.  Also returns ``s0`` and ``s1c = mean((z - c)^2 f'/f)``, the
     first Delves-Lyness moment about ``c``.
     """
-    w = _winding(f)
+    w = int(round(float(np.sum(np.angle(np.roll(f, -1) / f))) / (2 * np.pi)))
     s0 = complex(np.mean((z - c) * g))
     if not abs(s0 - w) < 0.25:
         raise WindingMismatch(
             f"contour around {c:.6g} winds {w} times but its "
             f"log-derivative moment gives {s0:.4g}")
     return w, s0, complex(np.mean((z - c) ** 2 * g))
+
+
+def _floor_violations(window: tuple, y: complex, rho: float,
+                      log_delta: float) -> int:
+    """Failures of |f(z)| >= delta ||z - y|| ||z + y|| on |z - y| <= rho.
+
+    ``window`` = ``(c, r, (zs, fs, gs), found)`` samples f on |z - c| = r,
+    inside which f has exactly the zeros ``found`` = [(r_j, m_j)], y among
+    them.  q = f / prod (z - r_j)^m_j has none, so |f| >= min_k |q(z_k)|
+    prod |z - r_j|^m_j inside (minimum modulus).  The floor is at most
+    delta |z - y| (||2y|| + rho), or delta |z - y| |z - y2| when the ring
+    also holds y's mirror y2; the factors of y (and y2) cancel, and every
+    other zero is at least |y - r_j| - rho away.  Counts the samples below
+    the resulting floor on |q| (all of them if y is multiple or another
+    zero lies within rho of y), plus 1 if the disk leaves the ring.  The
+    arcs between samples are read only through them, as for the winding,
+    and f and the roots are taken as computed, with no rounding allowance.
+    """
+    c, r_win, (zs, fs, _), found = window
+    # f is even: a ring that is its own mirror also holds a zero at y2 = -y
+    # mod 1, and the zero found nearest y2 takes the floor's ||z + y||
+    y2 = round(2.0 * y.real) - y
+    r2 = (min(found, key=lambda p: abs(p[0] - y2))[0]
+          if abs(y2 - c) < r_win else None)
+    log_floor = log_delta + (0.0 if r2 is not None
+                             else math.log(torus_norm(2.0 * y) + rho))
+    for r, m in found:
+        gap = abs(y - r) - rho
+        e = m - (r == y) - (r == r2)
+        if e > 0:
+            log_floor = log_floor - e * math.log(gap) if gap > 0 else math.inf
+    log_q = np.log(np.abs(fs)) - sum(m * np.log(np.abs(zs - r))
+                                     for r, m in found)
+    return (int(np.count_nonzero(log_q < log_floor))
+            + int(abs(y - c) + rho > r_win))
 
 
 def _tracking_frame(family: BlockFamily) -> tuple:
@@ -790,18 +814,14 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     found every root.  Case 1 expects the root near ``theta_prev``; case 2
     near ``(l/2) . omega + theta_prev``.
 
-    Each candidate circle starts at ``RING_SAMPLES`` uniform samples and
-    doubles until every step in arg f is at most pi/4 (past
-    ``MAX_RING_SAMPLES`` it raises ``WindingMismatch``); if |f| dips on it,
-    the radius is bumped by 2% up to three times.  The integer winding is
-    cross-checked against the trapezoid moment ``s0 = (1/2 pi i) oint
-    f'/f``, with f'/f = tr(S^-1 S') from Jacobi's formula.  Newton steps
-    ``z <- z - 1 / (f'/f)`` (one determinant each) run from the centre
-    first, so that eps = 0 is exact, then from four points at 0.3 of the
-    radius and from the Delves-Lyness point s1/s0 (the mean of the enclosed
-    roots).  Each new root's multiplicity is the winding on a small circle
-    around it (``MULT_SAMPLES`` samples, same doubling rule), taken as soon
-    as the root is accepted; no further start is launched once the
+    Each candidate ring is sampled by ``_sample_ring`` and counted by
+    ``_count_zeros``; if |f| dips on it, the radius is bumped by 2% up to
+    three times.  Newton steps ``z <- z - 1 / (f'/f)`` (one determinant
+    each) run from the centre first, so that eps = 0 is exact, then from
+    four points at 0.3 of the radius and from the Delves-Lyness point s1/s0
+    (the mean of the enclosed roots).  Each new root's multiplicity is the
+    winding on a small circle around it (``MULT_SAMPLES`` samples), taken as
+    soon as the root is accepted; no further start is launched once the
     multiplicities add up to the winding, and they must add up to it.
 
     The candidates come in +- pairs, and f is even (``_SchurDet`` checks
@@ -809,6 +829,10 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     first member of a pair is searched: its mirror adds the same winding
     and the negated roots.  A candidate that is its own mirror (c = -c
     mod 1) is searched and counted once.
+
+    The lower bound |f| >= delta_{s_next-1} ||z - theta|| ||z + theta|| is
+    certified on |z - theta| <= 0.99 min(r, delta_{s_next}^z_exp), r the
+    radius of theta's ring, from that ring's samples (``_floor_violations``).
     """
     ev = _SchurDet(model, *_tracking_frame(family), energy)
 
@@ -829,43 +853,32 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         dev_bound = (max(math.sqrt(abs(model.eps)), 1e-12) if s_next == 1
                      else schedule.delta(s_next - 1) ** 4)
 
-    cands = [complex(wrap_to_symmetric(c.real), c.imag) for c in cands]
-    dedup: list = []
-    for c in cands:
-        if all(torus_norm(c - o) > 1e-9 for o in dedup):
-            dedup.append(c)
-    cands = dedup
     # f is even, so the window around -c holds the negated roots of the
     # window around c: search the first member of each +- pair only
-    firsts: list = []
-    copies: list = []
-    for c in cands:
-        k = next((k for k, o in enumerate(firsts)
-                  if torus_norm(c + o) <= 1e-9), None)
-        if k is None:
-            firsts.append(c)
-            copies.append(1)
-        else:
-            copies[k] = 2
+    uniq: list = []
+    copies: dict = {}
+    for c in (complex(wrap_to_symmetric(c.real), c.imag) for c in cands):
+        if all(torus_norm(c - o) > 1e-9 for o in uniq):
+            uniq.append(c)
+            first = next((o for o in copies if torus_norm(c + o) <= 1e-9), c)
+            copies[first] = 1 if first is c else 2
 
     rest_slope = ev.slope[:ev.n_rest]
     pole_z = np.concatenate([tp - rest_slope, -tp - rest_slope])
     delta_prev = schedule.delta(s_next - 1)
-    roots: list = []
+    windows: list = []
     winding_total = 0
     iters_used = 0
-    radius_used = 0.0
 
-    for c, n_copies in zip(firsts, copies):
+    for c, n_copies in copies.items():
         gap = (float(np.min(torus_norm(pole_z - c)))
                if pole_z.size else float("inf"))
-        sep = min((torus_norm(c - o) for o in cands if o is not c),
+        sep = min((torus_norm(c - o) for o in uniq if o is not c),
                   default=float("inf"))
         r_win = min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
         if r_win < 1e-13:
             raise WindowTooSmall(
                 f"root window around {c:.6g} collapsed to {r_win:.3e}")
-        radius_used = max(radius_used, r_win)
 
         for bump in range(4):
             r_try = r_win * (1.0 + 0.02 * bump)
@@ -884,7 +897,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         starts = [c + frac * r_win for frac in (0.0, 0.3, 0.3j, -0.3, -0.3j)]
         if w:
             starts.append(c + s1c / s0)
-        local: list = []
+        found: list = []
         mult = 0
         for z in starts:
             if mult >= w:
@@ -904,7 +917,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                     break
             if z is None or abs(z - c) >= r_win or abs(f) > 10.0 * tol_det:
                 continue
-            if any(abs(z - r) <= 1e-9 for r in local):
+            if any(abs(z - r) <= 1e-9 for r, _ in found):
                 continue
             ring_z = _sample_ring(ev, z, max(1e-3 * r_win, 1e-10),
                                   MULT_SAMPLES)
@@ -912,47 +925,37 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                 raise WindingMismatch(
                     f"determinant vanishes on the multiplicity circle "
                     f"around {z:.6g}")
-            mult += abs(_count_zeros(*ring_z, z)[0])
-            local.append(z)
+            m = abs(_count_zeros(*ring_z, z)[0])
+            mult += m
+            found.append((z, m))
         if mult != w:
             raise WindingMismatch(
                 f"contour around {c:.6g} winds {w} times but Newton found "
                 f"multiplicity {mult}")
-        roots.extend(local)
-        if n_copies == 2:
-            roots.extend(-r for r in local)
+        windows.append((c, r_win, ring, found))
 
-    if winding_total == 0 or not roots:
+    if winding_total == 0:
         raise NoRootInWindow(
             "no characteristic root inside any candidate window")
 
-    canon: list = []
-    for r in roots:
-        cr = canonical_root(r)
-        if all(torus_norm(cr - o) > 1e-8 for o in canon):
-            canon.append(cr)
+    canon: dict = {}
+    for win in windows:
+        for r, _ in win[3]:
+            cr = canonical_root(r)
+            if all(torus_norm(cr - o) > 1e-8 for o in canon):
+                canon[cr] = (r, win)
     theta_next = min(canon, key=lambda r: torus_norm(r - expected))
     deviation = float(torus_norm(theta_next - expected))
 
-    z_cap = min(radius_used,
-                math.exp(max(schedule.z_exp * schedule.log_delta[s_next],
-                             -MAX_EXP)))
-    log_dp = schedule.log_delta[s_next - 1]
-    bad = 0
-    for rr in np.geomspace(max(z_cap * 1e-3, 1e-12), z_cap * 0.99, 8):
-        for ang in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-            z = theta_next + rr * np.exp(1j * ang)
-            det = ev.det(z)
-            lhs = math.log(abs(det)) if det != 0 else -math.inf
-            rhs = (log_dp + log_torus_norm(z - theta_next)
-                   + log_torus_norm(z + theta_next))
-            if lhs < rhs - 1e-9:
-                bad += 1
+    # theta_next is +-y mod 1: f's evenness and period carry y's bound to it
+    y, win = canon[theta_next]
+    rho = 0.99 * min(win[1], math.exp(max(
+        schedule.z_exp * schedule.log_delta[s_next], -MAX_EXP)))
+    bad = _floor_violations(win, y, rho, schedule.log_delta[s_next - 1])
 
     return ThetaStep(s_next, case.case, case.l, theta_next, expected,
                      deviation, dev_bound, deviation <= dev_bound,
-                     tuple(canon), winding_total, radius_used, bad,
-                     iters_used)
+                     tuple(canon), winding_total, win[1], bad, iters_used)
 
 
 # ---------------------------------------------------------------------------

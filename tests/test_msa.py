@@ -384,8 +384,8 @@ def test_track_theta_case1_plant(planted_model, sched19, monkeypatch):
     step = track_theta(planted_model, fam, theta0, case, sched19, 1, 0.3)
     # one determinant per LU: 254 per root when both members of the +-
     # pair were searched and Newton ran every start, 146 with the mirror
-    # and the early stop
-    assert lu[0] / len(step.roots) <= 150
+    # and the early stop, 82 once the lower bound reads the winding ring
+    assert lu[0] / len(step.roots) <= 90
     assert step.case == 1
     assert step.deviation_ok and step.det_violations == 0
     assert step.deviation == pytest.approx(4.72e-9, rel=0.05)
@@ -423,8 +423,9 @@ def test_track_theta_case2_merge(monkeypatch):
     lu = _count_lu(monkeypatch)
     step = track_theta(model, fam, theta0, case, sched, 1, 0.3)
     # four candidates, two +- pairs, two roots: 460 LUs (230 per root)
-    # when every candidate was searched, 229 with the mirror
-    assert lu[0] / len(step.roots) <= 120
+    # when every candidate was searched, 229 with the mirror, 165 once the
+    # lower bound reads the winding ring
+    assert lu[0] / len(step.roots) <= 90
     omega = freq.array()[0]
     assert step.expected == pytest.approx(canonical_root(
         complex(omega / 2.0 + theta0)))
@@ -441,9 +442,10 @@ def _oracle_track(model, fam, theta_prev, case, sched, energy):
 
     A 720-sample circle per candidate, Newton with central differences of
     det S from five starts, 240-sample multiplicity circles, then the same
-    root choice and 64-point lower-bound grid.  det S is built from the full
+    root choice and the 64-point lower-bound grid that ``track_theta`` used
+    before its minimum-modulus certificate.  det S is built from the full
     matrix ``eps W + diag(v(z + n . omega) - E)``.  Returns (canonical
-    roots, winding total, lower-bound violations).
+    roots, winding total, grid violations).
     """
     key = fam.center_keys()[0]
     frame = (2 * fam.enlarged[key] - np.asarray(key)) / 2.0
@@ -526,8 +528,15 @@ def _oracle_track(model, fam, theta_prev, case, sched, energy):
         if all(torus_norm(cr - o) > 1e-8 for o in canon):
             canon.append(cr)
     theta = min(canon, key=lambda r: torus_norm(r - expected))
-    z_cap = min(radius_used, math.exp(max(sched.z_exp * sched.log_delta[1],
-                                          -700.0)))
+    return canon, total, _grid_violations(det, theta, radius_used, sched)
+
+
+def _grid_violations(det, theta, radius, sched):
+    """Points of the old 8 x 8 grid around ``theta`` (radii up to 0.99 of
+    ``radius``, capped by delta_1^z_exp) where |det| < delta_0 ||z - theta||
+    ||z + theta||."""
+    z_cap = min(radius, math.exp(max(sched.z_exp * sched.log_delta[1],
+                                     -700.0)))
     bad = 0
     for rr in np.geomspace(max(z_cap * 1e-3, 1e-12), z_cap * 0.99, 8):
         for ang in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
@@ -537,7 +546,7 @@ def _oracle_track(model, fam, theta_prev, case, sched, energy):
             rhs = (sched.log_delta[0] + log_torus_norm(z - theta)
                    + log_torus_norm(z + theta))
             bad += lhs < rhs - 1e-9
-    return canon, total, bad
+    return bad
 
 
 def _tracking_input(name):
@@ -547,15 +556,18 @@ def _tracking_input(name):
     kern = HoppingKernel.saturating(1.0, 2.0)
     freq = FrequencyVector.golden()
     window = box_around(np.zeros(1), 64)
-    if name == "case2-merge":
+    if name.startswith("case2-"):
         sched = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.9,
                                s_max=1, delta0=0.05, n0=4)
         fam = construct_blocks(np.asarray([[1]]),
                                {(1,): np.asarray([[0], [2]])},
                                1, 2, (1,), sched, [], window)
+        # at E = -0.35 the window that holds theta (radius 1.41e-3) is
+        # smaller than the other +- pair's (1.90e-3)
+        energy = 0.3 if name == "case2-merge" else -0.35
         return (ModelSpec(pot, kern, freq, 1e-4), fam,
-                solve_phase_for_energy(pot, 0.3),
-                CaseData(2, (1,), (2,), (0,), 1.0), sched, 0.3)
+                solve_phase_for_energy(pot, energy),
+                CaseData(2, (1,), (2,), (0,), 1.0), sched, energy)
     sched = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.9,
                            s_max=1, delta0=1e-3, n0=8)
     fam = construct_blocks(np.asarray([[0]]), {(0,): np.asarray([[0]])},
@@ -568,6 +580,9 @@ def _tracking_input(name):
         energy = 0.3
     elif name == "case1-plant":
         energy = 0.3
+    elif name == "band-edge":
+        # theta_prev = 0: one candidate, its own mirror, holds both roots
+        energy = 1.0
     else:
         # criterion 4's energy draws, by index
         draw = int(name.removeprefix("crit4-draw"))
@@ -592,7 +607,9 @@ def test_track_theta_matches_fixed_sample_oracle(name):
     assert len(step.roots) == len(roots)
     for got, want in zip(step.roots, roots):
         assert abs(got - want) <= 1e-10
-    assert step.det_violations == bad
+    # the grid counts points and the certificate counts ring samples, so
+    # only the verdicts compare
+    assert (bad == 0) == (step.det_violations == 0)
     if name == "crit4-draw36":
         assert step.window_radius == pytest.approx(2.2e-6, rel=0.01)
 
@@ -615,8 +632,8 @@ def test_schur_logderiv_matches_central_difference(name):
         z = complex(theta_prev) + off
         f, g = ev.det_logderiv(z)
         h = 1e-6
-        fd = (ev.det(z + h) - ev.det(z - h)) / (2.0 * h) / f
-        assert f == ev.det(z)
+        fd = (ev.det_logderiv(z + h)[0] - ev.det_logderiv(z - h)[0]) \
+            / (2.0 * h) / f
         assert abs(g - fd) <= 1e-6 * abs(fd)
 
 
@@ -633,6 +650,102 @@ def test_schur_det_is_even(name):
         f_m, g_m = ev.det_logderiv(-z)
         assert abs(f_m - f) <= 1e-12 * abs(f)
         assert abs(g_m + g) <= 1e-12 * abs(g)
+
+
+def _spy(monkeypatch, name) -> list:
+    """Records the arguments of each call to ``qplab.msa.<name>``."""
+    seen = []
+    real = getattr(qplab.msa, name)
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qplab.msa, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge",
+                                  "case2-uneven", "band-edge"])
+def test_lower_bound_certificate_is_sound(name, monkeypatch):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    seen = _spy(monkeypatch, "_floor_violations")
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    assert step.det_violations == 0
+    ((c, r_win, (zs, fs, _), found), y, rho, log_dp), = seen
+    assert canonical_root(y) == step.theta and abs(y - c) + rho <= r_win
+    log_q = np.log(np.abs(fs)) - sum(m * np.log(np.abs(zs - r))
+                                     for r, m in found)
+    ev = _schur_det(model, fam, energy)
+    rng = np.random.default_rng(0)
+    u = (rho * np.sqrt(rng.uniform(size=200))
+         * np.exp(2j * np.pi * rng.uniform(size=200)))
+    for du in u:
+        # the minimum-modulus floor around y, and the paper's floor around
+        # theta itself, which evenness and period map onto y
+        z = y + du
+        floor = float(np.min(log_q)) + sum(m * math.log(abs(z - r))
+                                           for r, m in found)
+        assert math.log(abs(ev.det_logderiv(z)[0])) >= floor
+        z = step.theta + du
+        assert math.log(abs(ev.det_logderiv(z)[0])) >= (
+            log_dp + log_torus_norm(z - step.theta)
+            + log_torus_norm(z + step.theta))
+
+
+def test_lower_bound_reads_the_ring_that_holds_theta(monkeypatch):
+    # a disk of 0.99 of the largest ring would leave the ring whose winding
+    # was certified
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("case2-uneven")
+    rings = _spy(monkeypatch, "_sample_ring")
+    seen = _spy(monkeypatch, "_floor_violations")
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    ((c, r_win, ring, found), y, rho, log_dp), = seen
+    assert r_win == pytest.approx(1.41e-3, rel=0.01)
+    assert max(r for _, _, r, _ in rings) == pytest.approx(1.90e-3,
+                                                          rel=0.01)
+    assert step.window_radius == r_win
+    assert rho == pytest.approx(0.99 * r_win) and abs(y - c) + rho <= r_win
+    assert step.det_violations == 0
+
+
+class _Dipped:
+    """Stand-in for ``_SchurDet``: f(z) (z^2 - a^2) / (theta^2 - a^2), even
+    like f, with the extra zeros +-a."""
+
+    def __init__(self, ev, a, theta):
+        self.ev, self.a, self.theta = ev, a, theta
+        self.slope, self.n_rest = ev.slope, ev.n_rest
+
+    def det_logderiv(self, z):
+        f, g = self.ev.det_logderiv(z)
+        q = z * z - self.a * self.a
+        return (f * q / (self.theta ** 2 - self.a ** 2),
+                g + 2.0 * z / q)
+
+
+def test_lower_bound_refuses_a_zero_between_grid_points(monkeypatch):
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("crit4-draw0")
+    clean = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    theta, radius = clean.theta, clean.window_radius
+    # a zero between the grid's rings 5 and 6 and its rays 0 and pi/4,
+    # nearer to the Newton start at 0.3 of the radius than to theta
+    grid = np.geomspace(radius * 1e-3, radius * 0.99, 8)
+    a = theta + math.sqrt(grid[5] * grid[6]) * np.exp(1j * np.pi / 8.0)
+    real = qplab.msa._SchurDet
+    monkeypatch.setattr(qplab.msa, "_SchurDet",
+                        lambda *args: _Dipped(real(*args), a, theta))
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    # the winding counts +-a and Newton finds a
+    assert step.winding_total == 4
+    assert any(abs(r - canonical_root(a)) < 1e-12 for r in step.roots)
+    assert abs(step.theta - theta) < 1e-12
+    dipped = _Dipped(_schur_det(model, fam, energy), a, theta)
+    assert _grid_violations(lambda z: dipped.det_logderiv(z)[0], theta,
+                            radius, sched) == 0
+    assert step.det_violations > 0
 
 
 def test_track_theta_refuses_an_odd_kernel_or_frame():
