@@ -604,7 +604,7 @@ class MsaRun:
 class ThetaStep:
     """A tracked root.  ``window_radius`` is the radius of the ring that
     holds ``theta``; ``det_violations`` counts that ring's samples below the
-    lower bound's floor, plus 1 if its disk leaves the ring."""
+    lower bound's floor."""
 
     s: int
     case: int
@@ -642,6 +642,12 @@ class _SchurDet:
     bit; any other potential must satisfy |v(-p) - v(p)| <= ``EVEN_RTOL``
     max |v(p)| at the phases p of every evaluation, else
     ``PreconditionViolated`` is raised.
+
+    ``real_axis`` says f is real on the real axis, so f(conj z) = conj f(z)
+    (Schwarz reflection): E is real, eps W has no imaginary part and v is
+    the cosine, which meets it bit for bit as it meets evenness: cos and sin
+    of conj(z) + n.omega are the conjugates, and the LU and solves that
+    follow see only the signs of imaginary parts flipped.
     """
 
     def __init__(self, model: ModelSpec, frame_sites: np.ndarray,
@@ -670,6 +676,8 @@ class _SchurDet:
         self.w_cr = w[np.ix_(core, rest)].astype(complex)
         self.w_cc = w[np.ix_(core, core)].astype(complex)
         self.rr_diag = np.diag_indices(rest.size)
+        self.real_axis = bool(self.energy.imag == 0 and not np.any(w.imag)
+                              and self.pot.kind == "cosine")
 
     def det_logderiv(self, z: complex) -> tuple:
         """(det S(z), f'/f at z); f'/f is NaN where det S is exactly 0."""
@@ -705,6 +713,9 @@ MAX_RING_SAMPLES = 4096
 MAX_ARG_STEP = math.pi / 4.0
 # Newton steps per start before ``track_theta`` abandons that start
 NEWTON_BUDGET = 60
+# a +- pair closer to a band edge than this fraction of the edge's window
+# radius is searched in that one window
+EDGE_SNAP = 0.25
 
 
 def _sample_ring(ev: _SchurDet, c: complex, r: float, n: int):
@@ -714,11 +725,23 @@ def _sample_ring(ev: _SchurDet, c: complex, r: float, n: int):
     until every step in arg f is at most ``MAX_ARG_STEP``; raises
     ``WindingMismatch`` past ``MAX_RING_SAMPLES``.  Returns None when |f|
     dips below 1e-14 of its median, i.e. the circle runs through a zero.
+
+    When ``c`` is real and ``ev.real_axis`` holds, only the samples k with
+    2k <= m of an m-point ring are evaluated; sample m - k takes the
+    conjugated point, f and f'/f of sample k, so the set is exactly
+    conjugate-symmetric.  Doubling pairs odd indices with odd ones.
     """
+    mirror = ev.real_axis and complex(c).imag == 0
+
     def sample(k: np.ndarray, m: int):
-        z = c + r * np.exp(2j * np.pi * k / m)
+        own = k[2 * k <= m] if mirror else k
+        z = c + r * np.exp(2j * np.pi * own / m)
         fg = np.asarray([ev.det_logderiv(zz) for zz in z])
-        return z, fg[:, 0], fg[:, 1]
+        out = [z, fg[:, 0], fg[:, 1]]
+        if mirror:
+            mate = np.searchsorted(own, m - k[own.size:])
+            out = [np.concatenate([a, a[mate].conj()]) for a in out]
+        return out
 
     z, f, g = sample(np.arange(n), n)
     while True:
@@ -767,7 +790,8 @@ def _floor_violations(window: tuple, y: complex, rho: float,
     also holds y's mirror y2; the factors of y (and y2) cancel, and every
     other zero is at least |y - r_j| - rho away.  Counts the samples below
     the resulting floor on |q| (all of them if y is multiple or another
-    zero lies within rho of y), plus 1 if the disk leaves the ring.  The
+    zero lies within rho of y).  The disk must lie inside the ring
+    (rho < r - |y - c|), as ``track_theta``'s rho does by construction.  The
     arcs between samples are read only through them, as for the winding,
     and f and the roots are taken as computed, with no rounding allowance.
     """
@@ -786,8 +810,7 @@ def _floor_violations(window: tuple, y: complex, rho: float,
             log_floor = log_floor - e * math.log(gap) if gap > 0 else math.inf
     log_q = np.log(np.abs(fs)) - sum(m * np.log(np.abs(zs - r))
                                      for r, m in found)
-    return (int(np.count_nonzero(log_q < log_floor))
-            + int(abs(y - c) + rho > r_win))
+    return int(np.count_nonzero(log_q < log_floor))
 
 
 def _tracking_frame(family: BlockFamily) -> tuple:
@@ -828,11 +851,17 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     the symmetry of the frame, of eps W and of the potential), so only the
     first member of a pair is searched: its mirror adds the same winding
     and the negated roots.  A candidate that is its own mirror (c = -c
-    mod 1) is searched and counted once.
+    mod 1) is searched and counted once, and so is a pair near a band edge
+    b = 0 or 1/2 (within ``EDGE_SNAP`` times the radius of b's window): the
+    coupling can carry its roots past the pair's own windows, so both are
+    searched in the one window around b.  When f is real on the real axis
+    (``_SchurDet.real_axis``), a ring with a real centre evaluates only its
+    upper half (``_sample_ring``).
 
     The lower bound |f| >= delta_{s_next-1} ||z - theta|| ||z + theta|| is
-    certified on |z - theta| <= 0.99 min(r, delta_{s_next}^z_exp), r the
-    radius of theta's ring, from that ring's samples (``_floor_violations``).
+    certified on |z - y| <= 0.99 min(r - |y - c|, delta_{s_next}^z_exp),
+    y = +-theta mod 1 the root found in the ring of centre c and radius r,
+    from that ring's samples (``_floor_violations``).
     """
     ev = _SchurDet(model, *_tracking_frame(family), energy)
 
@@ -853,29 +882,45 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
         dev_bound = (max(math.sqrt(abs(model.eps)), 1e-12) if s_next == 1
                      else schedule.delta(s_next - 1) ** 4)
 
+    rest_slope = ev.slope[:ev.n_rest]
+    pole_z = np.concatenate([tp - rest_slope, -tp - rest_slope])
+    delta_prev = schedule.delta(s_next - 1)
+
+    def radius(c: complex, others: list) -> float:
+        gap = (float(np.min(torus_norm(pole_z - c)))
+               if pole_z.size else float("inf"))
+        sep = min((torus_norm(c - o) for o in others), default=float("inf"))
+        return min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
+
+    # a +- pair near a band edge b (its own mirror) merges into b's window;
+    # a pair that the 1e-9 dedupe below already merges keeps its centre
+    wrapped = [complex(wrap_to_symmetric(c.real), c.imag) for c in cands]
+
+    def snap(c: complex) -> complex:
+        b = complex(wrap_to_symmetric(round(2.0 * c.real) / 2.0))
+        others = [o for o in wrapped
+                  if min(torus_norm(o - c), torus_norm(o + c)) > 1e-9]
+        if (torus_norm(2.0 * c) > 1e-9
+                and torus_norm(c - b) <= EDGE_SNAP * radius(b, others)):
+            return b
+        return c
+
     # f is even, so the window around -c holds the negated roots of the
     # window around c: search the first member of each +- pair only
     uniq: list = []
     copies: dict = {}
-    for c in (complex(wrap_to_symmetric(c.real), c.imag) for c in cands):
+    for c in map(snap, wrapped):
         if all(torus_norm(c - o) > 1e-9 for o in uniq):
             uniq.append(c)
             first = next((o for o in copies if torus_norm(c + o) <= 1e-9), c)
             copies[first] = 1 if first is c else 2
 
-    rest_slope = ev.slope[:ev.n_rest]
-    pole_z = np.concatenate([tp - rest_slope, -tp - rest_slope])
-    delta_prev = schedule.delta(s_next - 1)
     windows: list = []
     winding_total = 0
     iters_used = 0
 
     for c, n_copies in copies.items():
-        gap = (float(np.min(torus_norm(pole_z - c)))
-               if pole_z.size else float("inf"))
-        sep = min((torus_norm(c - o) for o in uniq if o is not c),
-                  default=float("inf"))
-        r_win = min(math.sqrt(delta_prev), gap / 3.0, 0.45 * sep)
+        r_win = radius(c, [o for o in uniq if o is not c])
         if r_win < 1e-13:
             raise WindowTooSmall(
                 f"root window around {c:.6g} collapsed to {r_win:.3e}")
@@ -949,7 +994,7 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
 
     # theta_next is +-y mod 1: f's evenness and period carry y's bound to it
     y, win = canon[theta_next]
-    rho = 0.99 * min(win[1], math.exp(max(
+    rho = 0.99 * min(win[1] - abs(y - win[0]), math.exp(max(
         schedule.z_exp * schedule.log_delta[s_next], -MAX_EXP)))
     bad = _floor_violations(win, y, rho, schedule.log_delta[s_next - 1])
 

@@ -41,6 +41,7 @@ from qplab.msa import (
     CaseData,
     ResonanceStructure,
     _count_zeros,
+    _floor_violations,
     _sample_ring,
     _SchurDet,
 )
@@ -384,8 +385,9 @@ def test_track_theta_case1_plant(planted_model, sched19, monkeypatch):
     step = track_theta(planted_model, fam, theta0, case, sched19, 1, 0.3)
     # one determinant per LU: 254 per root when both members of the +-
     # pair were searched and Newton ran every start, 146 with the mirror
-    # and the early stop, 82 once the lower bound reads the winding ring
-    assert lu[0] / len(step.roots) <= 90
+    # and the early stop, 82 once the lower bound reads the winding ring,
+    # 44 once real-centred rings evaluate their upper half only
+    assert lu[0] / len(step.roots) <= 50
     assert step.case == 1
     assert step.deviation_ok and step.det_violations == 0
     assert step.deviation == pytest.approx(4.72e-9, rel=0.05)
@@ -424,8 +426,8 @@ def test_track_theta_case2_merge(monkeypatch):
     step = track_theta(model, fam, theta0, case, sched, 1, 0.3)
     # four candidates, two +- pairs, two roots: 460 LUs (230 per root)
     # when every candidate was searched, 229 with the mirror, 165 once the
-    # lower bound reads the winding ring
-    assert lu[0] / len(step.roots) <= 90
+    # lower bound reads the winding ring, 89 with half-evaluated real rings
+    assert lu[0] / len(step.roots) <= 50
     omega = freq.array()[0]
     assert step.expected == pytest.approx(canonical_root(
         complex(omega / 2.0 + theta0)))
@@ -706,46 +708,172 @@ def test_lower_bound_reads_the_ring_that_holds_theta(monkeypatch):
     assert max(r for _, _, r, _ in rings) == pytest.approx(1.90e-3,
                                                           rel=0.01)
     assert step.window_radius == r_win
-    assert rho == pytest.approx(0.99 * r_win) and abs(y - c) + rho <= r_win
+    assert rho == pytest.approx(0.99 * (r_win - abs(y - c)))
+    assert abs(y - c) + rho <= r_win
     assert step.det_violations == 0
 
 
 class _Dipped:
-    """Stand-in for ``_SchurDet``: f(z) (z^2 - a^2) / (theta^2 - a^2), even
-    like f, with the extra zeros +-a."""
+    """Stand-in for ``_SchurDet``: f(z) prod (z^2 - a^2) / (theta^2 - a^2)
+    over the dips a, even like f, with the extra zeros +-a.  It is real on
+    the real axis only if f is and the dips are closed under conjugation."""
 
-    def __init__(self, ev, a, theta):
-        self.ev, self.a, self.theta = ev, a, theta
+    def __init__(self, ev, dips, theta):
+        self.ev, self.dips, self.theta = ev, dips, theta
         self.slope, self.n_rest = ev.slope, ev.n_rest
+        self.real_axis = ev.real_axis and set(np.conj(dips)) == set(dips)
 
     def det_logderiv(self, z):
         f, g = self.ev.det_logderiv(z)
-        q = z * z - self.a * self.a
-        return (f * q / (self.theta ** 2 - self.a ** 2),
-                g + 2.0 * z / q)
+        for a in self.dips:
+            q = z * z - a * a
+            f, g = f * q / (self.theta ** 2 - a * a), g + 2.0 * z / q
+        return f, g
+
+
+def _dip_between_grid_points():
+    """crit4-draw0's tracking input, theta, its window radius, and a point
+    between the old grid's rings 5 and 6 and its rays 0 and pi/4, nearer to
+    the Newton start at 0.3 of the radius than to theta."""
+    args = _tracking_input("crit4-draw0")
+    clean = track_theta(*args[:5], 1, args[5])
+    theta, radius = clean.theta, clean.window_radius
+    grid = np.geomspace(radius * 1e-3, radius * 0.99, 8)
+    a = theta + math.sqrt(grid[5] * grid[6]) * np.exp(1j * np.pi / 8.0)
+    return args, theta, radius, a
 
 
 def test_lower_bound_refuses_a_zero_between_grid_points(monkeypatch):
-    model, fam, theta_prev, case, sched, energy = \
-        _tracking_input("crit4-draw0")
-    clean = track_theta(model, fam, theta_prev, case, sched, 1, energy)
-    theta, radius = clean.theta, clean.window_radius
-    # a zero between the grid's rings 5 and 6 and its rays 0 and pi/4,
-    # nearer to the Newton start at 0.3 of the radius than to theta
-    grid = np.geomspace(radius * 1e-3, radius * 0.99, 8)
-    a = theta + math.sqrt(grid[5] * grid[6]) * np.exp(1j * np.pi / 8.0)
+    (model, fam, theta_prev, case, sched, energy), theta, radius, a = \
+        _dip_between_grid_points()
     real = qplab.msa._SchurDet
     monkeypatch.setattr(qplab.msa, "_SchurDet",
-                        lambda *args: _Dipped(real(*args), a, theta))
+                        lambda *args: _Dipped(real(*args), (a,), theta))
     step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
     # the winding counts +-a and Newton finds a
     assert step.winding_total == 4
     assert any(abs(r - canonical_root(a)) < 1e-12 for r in step.roots)
     assert abs(step.theta - theta) < 1e-12
-    dipped = _Dipped(_schur_det(model, fam, energy), a, theta)
+    dipped = _Dipped(_schur_det(model, fam, energy), (a,), theta)
+    # one dip off the axis: f is not real there, so rings stay full
+    assert not dipped.real_axis
     assert _grid_violations(lambda z: dipped.det_logderiv(z)[0], theta,
                             radius, sched) == 0
     assert step.det_violations > 0
+
+
+def test_lower_bound_refuses_a_conjugate_pair_of_dips(monkeypatch):
+    # the same dip and its conjugate keep f real on the real axis, so the
+    # rings are mirrored, and the certificate still sees the dips
+    (model, fam, theta_prev, case, sched, energy), theta, _, a = \
+        _dip_between_grid_points()
+    real = qplab.msa._SchurDet
+    made = []
+
+    def dipped(*args):
+        made.append(_Dipped(real(*args), (a, a.conjugate()), theta))
+        return made[-1]
+
+    monkeypatch.setattr(qplab.msa, "_SchurDet", dipped)
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    assert made[0].real_axis
+    assert step.winding_total == 6
+    for r in (a, a.conjugate()):
+        assert any(abs(x - canonical_root(r)) < 1e-12 for x in step.roots)
+    assert abs(step.theta - theta) < 1e-12
+    assert step.det_violations > 0
+
+
+@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge",
+                                  "band-edge"])
+def test_mirrored_ring_matches_a_full_ring(name, monkeypatch):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(name)
+    seen = _spy(monkeypatch, "_floor_violations")
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    ((c, r_win, ring, found), y, rho, log_dp), = seen
+    assert c.imag == 0
+    ev = _schur_det(model, fam, energy)
+    ev.real_axis = False
+    full = _sample_ring(ev, c, r_win, qplab.msa.RING_SAMPLES)
+    for got, want in zip(ring, full):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    (w, s0, _), (w_f, s0_f, _) = (_count_zeros(*r, c) for r in (ring, full))
+    assert w == w_f and abs(s0 - s0_f) <= 1e-12
+    assert step.det_violations == 0
+    assert _floor_violations((c, r_win, full, found), y, rho, log_dp) == 0
+
+
+def _counted(ev) -> list:
+    """Records the points at which ``ev`` is evaluated."""
+    calls = []
+    real = ev.det_logderiv
+
+    def det_logderiv(z):
+        calls.append(z)
+        return real(z)
+
+    ev.det_logderiv = det_logderiv
+    return calls
+
+
+def test_ring_evaluates_half_only_when_real_on_the_axis():
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("crit4-draw0")
+    c, r = complex(theta_prev.real), 1e-4
+    ev = _schur_det(model, fam, energy)
+    calls = _counted(ev)
+    z, f, g = _sample_ring(ev, c, r, 64)
+    assert ev.real_axis and len(calls) == 33 and z.size == 64
+    # each unevaluated sample is the conjugate of its partner
+    k = np.arange(1, 32)
+    assert np.array_equal(z[64 - k], z[k].conj())
+    assert np.array_equal(f[64 - k], f[k].conj())
+    # a centre off the axis has no partners
+    calls.clear()
+    _sample_ring(ev, c + 1e-5j, r, 64)
+    assert len(calls) == 64
+    sat = model.hopping
+    twisted = HoppingKernel.from_callable(
+        sat.alpha, sat.rho, lambda d: sat.fn(d) * np.exp(0.1j))
+    user = dataclasses.replace(model.potential, kind="user",
+                               fn=lambda z: np.cos(2.0 * np.pi * z))
+    for m, e in ((model, energy + 1e-9j),
+                 (dataclasses.replace(model, hopping=twisted), energy),
+                 (dataclasses.replace(model, potential=user), energy)):
+        ev = _schur_det(m, fam, e)
+        calls = _counted(ev)
+        z, f, g = _sample_ring(ev, c, r, 64)
+        assert not ev.real_axis and len(calls) == 64 and z.size == 64
+
+
+# criterion 4's frame at E = cos 2 pi theta_prev: (theta, window radius)
+# where the search kept each +- candidate in its own window, None where
+# those windows were too small to hold the roots the coupling moved
+BAND_EDGE_PROBE = {
+    0.0: (1.9824747318924326e-05, 0.002710206251926195),
+    1e-12: (1.9824747335188476e-05, 0.0027102062512582847),
+    1e-6: None,
+    1e-5: None,
+    1e-4: None,
+    1e-3: (0.001000196506881822, 0.0009000000000000008),
+    0.25: (0.2499999999998114, 0.0021926029160711145),
+    0.5 - 1e-6: None,
+    0.5: (0.4999801786940798, 0.002710206251926195),
+}
+
+
+@pytest.mark.parametrize("theta_prev", list(BAND_EDGE_PROBE))
+def test_track_theta_near_the_band_edge(theta_prev):
+    model, fam, _, case, sched, _ = _tracking_input("crit4-draw0")
+    energy = math.cos(2.0 * math.pi * theta_prev)
+    step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    assert step.winding_total == 2 and len(step.roots) == 1
+    assert step.det_violations == 0 and step.deviation_ok
+    if BAND_EDGE_PROBE[theta_prev] is not None:
+        theta, radius = BAND_EDGE_PROBE[theta_prev]
+        assert abs(step.theta - theta) <= 1e-12
+        assert step.window_radius == pytest.approx(radius, rel=1e-12)
 
 
 def test_track_theta_refuses_an_odd_kernel_or_frame():
@@ -780,10 +908,12 @@ def test_track_theta_refuses_a_potential_that_is_not_even():
 
 
 class _Linear:
-    """Stand-in evaluator for f(z) = z - a, with an optional wrong f'/f."""
+    """Stand-in evaluator for f(z) = z - a, with an optional wrong f'/f;
+    real on the real axis for real a."""
 
     def __init__(self, a, logderiv_ok=True):
         self.a, self.ok = a, logderiv_ok
+        self.real_axis = complex(a).imag == 0
 
     def det_logderiv(self, z):
         f = complex(z - self.a)
