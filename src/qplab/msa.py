@@ -25,9 +25,11 @@ from itertools import combinations
 from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+# lu_factor is not called here; perfbench/tracer.py patches msa.lu_factor
+from scipy.linalg import get_lapack_funcs, lu_factor  # noqa: F401
 
 from .errors import (
+    ASingular,
     AsymmetricBox,
     NoRootInWindow,
     PreconditionViolated,
@@ -630,10 +632,11 @@ class _SchurDet:
     complement S onto the core of a fixed translated frame.
 
     The z-independent blocks of ``eps W`` are sliced once.  Each evaluation
-    adds the potential diagonal and makes one ``lu_factor`` call, on the
-    rest-rest block; from that one LU it also gives the log-derivative
-    f'/f = tr(S^-1 S') by Jacobi's formula, with S' = D'_c + Y D'_r X,
-    X = A_rr^-1 A_rc and Y = A_cr A_rr^-1.
+    adds the potential diagonal to the rest-rest block, which is
+    complex-symmetric, and factors it once by Bunch-Kaufman LDL^T
+    (``sytrf``; ``ASingular`` on an exactly zero pivot).  One solve gives
+    X = A_rr^-1 W_rc, so S = W_cc + D_c - W_rc^T X, and Jacobi's formula
+    gives f'/f = tr(S^-1 S') with S' = D'_c + X^T D'_r X.
 
     f(-z) = f(z) because A(-z) = P A(z) P under the reflection P: x -> -x,
     which holds when P maps the frame and its core onto themselves, eps W
@@ -646,8 +649,8 @@ class _SchurDet:
     ``real_axis`` says f is real on the real axis, so f(conj z) = conj f(z)
     (Schwarz reflection): E is real, eps W has no imaginary part and v is
     the cosine, which meets it bit for bit as it meets evenness: cos and sin
-    of conj(z) + n.omega are the conjugates, and the LU and solves that
-    follow see only the signs of imaginary parts flipped.
+    of conj(z) + n.omega are the conjugates, and ``sytrf``, which pivots on
+    |Re| + |Im|, and all that follows see only imaginary signs flipped.
     """
 
     def __init__(self, model: ModelSpec, frame_sites: np.ndarray,
@@ -672,10 +675,12 @@ class _SchurDet:
                 "eps W is not symmetric on the tracking frame: the hopping "
                 "amplitude is not even")
         self.w_rr = np.asfortranarray(w[np.ix_(rest, rest)], dtype=complex)
-        self.w_rc = w[np.ix_(rest, core)].astype(complex)
-        self.w_cr = w[np.ix_(core, rest)].astype(complex)
+        self.w_rc = np.asfortranarray(w[np.ix_(rest, core)], dtype=complex)
         self.w_cc = w[np.ix_(core, core)].astype(complex)
         self.rr_diag = np.diag_indices(rest.size)
+        self.sytrf, self.sytrs, lwork = get_lapack_funcs(
+            ("sytrf", "sytrs", "sytrf_lwork"), (self.w_rr,))
+        self.lwork = int(lwork(rest.size)[0].real)
         self.real_axis = bool(self.energy.imag == 0 and not np.any(w.imag)
                               and self.pot.kind == "cosine")
 
@@ -693,15 +698,16 @@ class _SchurDet:
         nr = self.n_rest
         a = self.w_rr.copy(order="F")
         a[self.rr_diag] += d[:nr]
-        lu = lu_factor(a, overwrite_a=True, check_finite=False)
-        x = lu_solve(lu, self.w_rc, check_finite=False)
-        s = self.w_cc + np.diag(d[nr:]) - self.w_cr @ x
+        ldl, piv, info = self.sytrf(a, lwork=self.lwork, overwrite_a=True)
+        if info > 0:
+            raise ASingular(f"Schur rest block singular at z = {z:.6g}")
+        x = self.sytrs(ldl, piv, self.w_rc)[0]
+        s = self.w_cc + np.diag(d[nr:]) - self.w_rc.T @ x
         f = complex(np.linalg.det(s))
         if f == 0:
             return f, complex(math.nan)
         dv = eval_potential_derivative(self.pot, phases)
-        yt = lu_solve(lu, self.w_cr.T, trans=1, check_finite=False)
-        ds = np.diag(dv[nr:]) + yt.T @ (dv[:nr, None] * x)
+        ds = np.diag(dv[nr:]) + x.T @ (dv[:nr, None] * x)
         return f, complex(np.trace(np.linalg.solve(s, ds)))
 
 
@@ -844,8 +850,9 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
     four points at 0.3 of the radius and from the Delves-Lyness point s1/s0
     (the mean of the enclosed roots).  Each new root's multiplicity is the
     winding on a small circle around it (``MULT_SAMPLES`` samples), taken as
-    soon as the root is accepted; no further start is launched once the
-    multiplicities add up to the winding, and they must add up to it.
+    soon as the root is accepted; in a window that is its own mirror, the
+    root's mirror is accepted with it.  No further start is launched once
+    the multiplicities add up to the winding, and they must add up to it.
 
     The candidates come in +- pairs, and f is even (``_SchurDet`` checks
     the symmetry of the frame, of eps W and of the potential), so only the
@@ -971,8 +978,11 @@ def track_theta(model: ModelSpec, family: BlockFamily, theta_prev: complex,
                     f"determinant vanishes on the multiplicity circle "
                     f"around {z:.6g}")
             m = abs(_count_zeros(*ring_z, z)[0])
-            mult += m
-            found.append((z, m))
+            y2 = round(2.0 * z.real) - z  # also a root if c = -c mod 1
+            mirrored = (torus_norm(2.0 * c) <= 1e-9 and abs(y2 - z) > 1e-9
+                        and abs(y2 - c) < r_win)
+            mult += m * (1 + mirrored)
+            found += [(z, m), (y2, m)][:1 + mirrored]
         if mult != w:
             raise WindingMismatch(
                 f"contour around {c:.6g} winds {w} times but Newton found "

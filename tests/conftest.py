@@ -3,8 +3,9 @@
 import os
 
 # One BLAS thread unless the caller chose a count: the suite's dense work
-# (root tracking's 120-site LUs above all) gains nothing from a second
-# thread and burns twice the CPU.  This must run before numpy is imported.
+# (root tracking's 120-site LDL^T factorizations above all) gains nothing
+# from a second thread and burns twice the CPU.  This must run before numpy
+# is imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -23,9 +24,11 @@ from qplab import (
 
 
 def pytest_configure(config):
-    # a silent complex-to-real cast would drop an imaginary part unseen
-    config.addinivalue_line("filterwarnings",
-                            "error::numpy.exceptions.ComplexWarning")
+    # a silent complex-to-real cast would drop an imaginary part unseen,
+    # and a singular LU would hand inf or NaN to a gate unseen
+    for category in ("numpy.exceptions.ComplexWarning",
+                     "scipy.linalg.LinAlgWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")
 
 
 # pytest's ``pythonpath`` setting reaches this process only; tests that run

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 import qplab.msa
 from qplab import (
@@ -28,6 +29,7 @@ from qplab import (
     verify_good_set,
 )
 from qplab.errors import (
+    ASingular,
     AsymmetricBox,
     PreconditionViolated,
     ScheduleOverflow,
@@ -36,7 +38,11 @@ from qplab.errors import (
     WindowTooSmall,
 )
 from qplab.lattice import regular_deformation, site_index
-from qplab.model import eval_potential, toeplitz_block
+from qplab.model import (
+    eval_potential,
+    eval_potential_derivative,
+    toeplitz_block,
+)
 from qplab.msa import (
     CaseData,
     ResonanceStructure,
@@ -362,17 +368,29 @@ def test_construct_blocks_closes_a_long_chain(sched19, n_tiles, reach):
 # root tracking
 
 
-def _count_lu(monkeypatch) -> list:
-    """Counts the calls to ``lu_factor`` made through ``qplab.msa``."""
-    calls = [0]
-    real = qplab.msa.lu_factor
+def _count_factorizations(monkeypatch) -> dict:
+    """Counts the determinants that the evaluators ``track_theta`` builds
+    give, and the rest-block factorizations (``sytrf`` calls) they make."""
+    seen = {"dets": 0, "factorizations": 0}
+    real = qplab.msa._SchurDet
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def made(*args):
+        ev = real(*args)
+        sytrf, det_logderiv = ev.sytrf, ev.det_logderiv
 
-    monkeypatch.setattr(qplab.msa, "lu_factor", counted)
-    return calls
+        def counted_sytrf(*a, **kw):
+            seen["factorizations"] += 1
+            return sytrf(*a, **kw)
+
+        def counted_det(z):
+            seen["dets"] += 1
+            return det_logderiv(z)
+
+        ev.sytrf, ev.det_logderiv = counted_sytrf, counted_det
+        return ev
+
+    monkeypatch.setattr(qplab.msa, "_SchurDet", made)
+    return seen
 
 
 def test_track_theta_case1_plant(planted_model, sched19, monkeypatch):
@@ -381,13 +399,14 @@ def test_track_theta_case1_plant(planted_model, sched19, monkeypatch):
                            1, 1, (0,), sched19, [], window)
     theta0 = solve_phase_for_energy(planted_model.potential, 0.3)
     case = CaseData(1, None, None, None, math.inf)
-    lu = _count_lu(monkeypatch)
+    n = _count_factorizations(monkeypatch)
     step = track_theta(planted_model, fam, theta0, case, sched19, 1, 0.3)
-    # one determinant per LU: 254 per root when both members of the +-
-    # pair were searched and Newton ran every start, 146 with the mirror
-    # and the early stop, 82 once the lower bound reads the winding ring,
-    # 44 once real-centred rings evaluate their upper half only
-    assert lu[0] / len(step.roots) <= 50
+    # one factorization per determinant: 254 per root when both members of
+    # the +- pair were searched and Newton ran every start, 146 with the
+    # mirror and the early stop, 82 once the lower bound reads the winding
+    # ring, 44 once real-centred rings evaluate their upper half only
+    assert n["factorizations"] / len(step.roots) <= 50
+    assert n["factorizations"] == n["dets"]
     assert step.case == 1
     assert step.deviation_ok and step.det_violations == 0
     assert step.deviation == pytest.approx(4.72e-9, rel=0.05)
@@ -422,12 +441,14 @@ def test_track_theta_case2_merge(monkeypatch):
                            1, 2, (1,), sched, [], window)
     theta0 = solve_phase_for_energy(pot, 0.3)
     case = CaseData(2, (1,), (2,), (0,), 1.0)
-    lu = _count_lu(monkeypatch)
+    n = _count_factorizations(monkeypatch)
     step = track_theta(model, fam, theta0, case, sched, 1, 0.3)
-    # four candidates, two +- pairs, two roots: 460 LUs (230 per root)
-    # when every candidate was searched, 229 with the mirror, 165 once the
-    # lower bound reads the winding ring, 89 with half-evaluated real rings
-    assert lu[0] / len(step.roots) <= 50
+    # four candidates, two +- pairs, two roots: 460 factorizations (230 per
+    # root) when every candidate was searched, 229 with the mirror, 165
+    # once the lower bound reads the winding ring, 89 with half-evaluated
+    # real rings
+    assert n["factorizations"] / len(step.roots) <= 50
+    assert n["factorizations"] == n["dets"]
     omega = freq.array()[0]
     assert step.expected == pytest.approx(canonical_root(
         complex(omega / 2.0 + theta0)))
@@ -654,6 +675,54 @@ def test_schur_det_is_even(name):
         assert abs(g_m + g) <= 1e-12 * abs(g)
 
 
+def _lu_oracle(model, fam, energy, z):
+    """(det S, f'/f) at z from LU solves of the full matrix
+    ``eps W + diag(v(z + n . omega) - E)``, with S' = D'_c + Y D'_r X,
+    X = A_rr^-1 A_rc and Y = A_cr A_rr^-1 solved separately."""
+    key = fam.center_keys()[0]
+    frame = (2 * fam.enlarged[key] - np.asarray(key)) / 2.0
+    core = site_index(fam.enlarged[key], fam.cores[key])
+    rest = np.setdiff1d(np.arange(frame.shape[0]), core)
+    phases = complex(z) + frame @ model.frequency.array()
+    m = model.eps * toeplitz_block(model.hopping, frame) + np.diag(
+        eval_potential(model.potential, phases) - energy)
+    dv = eval_potential_derivative(model.potential, phases)
+    lu = lu_factor(m[np.ix_(rest, rest)])
+    x = lu_solve(lu, m[np.ix_(rest, core)])
+    y = lu_solve(lu, m[np.ix_(core, rest)].T, trans=1).T
+    s = m[np.ix_(core, core)] - m[np.ix_(core, rest)] @ x
+    ds = np.diag(dv[core]) + y @ (dv[rest, None] * x)
+    return np.linalg.det(s), np.trace(np.linalg.solve(s, ds))
+
+
+@pytest.mark.parametrize("name", ["crit4-draw0", "case2-merge", "band-edge",
+                                  "user-cosine", "complex-energy"])
+def test_schur_det_matches_an_lu_oracle(name):
+    model, fam, theta_prev, case, sched, energy = _tracking_input(
+        "crit4-draw0" if name == "complex-energy" else name)
+    if name == "complex-energy":
+        energy += 0.01j
+    ev = _schur_det(model, fam, energy)
+    for off in (0.004, 0.003j, -0.002 + 0.001j):
+        z = complex(theta_prev) + off
+        f, g = ev.det_logderiv(z)
+        f_lu, g_lu = _lu_oracle(model, fam, energy, z)
+        assert abs(f - f_lu) <= 1e-12 * abs(f_lu)
+        assert abs(g - g_lu) <= 1e-12 * abs(g_lu)
+
+
+def test_schur_det_refuses_a_singular_rest_block():
+    model, fam, theta_prev, case, sched, energy = \
+        _tracking_input("crit4-draw0")
+    frozen = dataclasses.replace(model, eps=0.0)
+    ev = _schur_det(frozen, fam, energy)
+    z = complex(theta_prev) + 0.004
+    # at zero coupling the rest block is diagonal: put E on one entry
+    ev.energy = complex(eval_potential(frozen.potential, z + ev.slope)[0])
+    with pytest.raises(ASingular, match="singular at z"):
+        ev.det_logderiv(z)
+
+
 def _spy(monkeypatch, name) -> list:
     """Records the arguments of each call to ``qplab.msa.<name>``."""
     seen = []
@@ -863,11 +932,21 @@ BAND_EDGE_PROBE = {
 }
 
 
+# (determinants, Newton steps) per call.  A band-edge window accepts the
+# mirror of each root it finds; before, the start on the imaginary axis
+# spent the whole Newton budget there (112-133 determinants, 61-81 steps).
+BAND_EDGE_COUNTS = {0.0: (53, 11), 1e-12: (53, 11), 1e-6: (53, 11),
+                    1e-5: (53, 11), 1e-4: (51, 9), 1e-3: (46, 3),
+                    0.25: (44, 2), 0.5 - 1e-6: (53, 11), 0.5: (53, 11)}
+
+
 @pytest.mark.parametrize("theta_prev", list(BAND_EDGE_PROBE))
-def test_track_theta_near_the_band_edge(theta_prev):
+def test_track_theta_near_the_band_edge(theta_prev, monkeypatch):
     model, fam, _, case, sched, _ = _tracking_input("crit4-draw0")
     energy = math.cos(2.0 * math.pi * theta_prev)
+    n = _count_factorizations(monkeypatch)
     step = track_theta(model, fam, theta_prev, case, sched, 1, energy)
+    assert (n["dets"], step.newton_iters) == BAND_EDGE_COUNTS[theta_prev]
     assert step.winding_total == 2 and len(step.roots) == 1
     assert step.det_violations == 0 and step.deviation_ok
     if BAND_EDGE_PROBE[theta_prev] is not None:
