@@ -147,13 +147,13 @@ _REQUIRED = object()
 # config parsing
 
 
-def _section(raw: dict, name: str, allowed: set) -> dict:
-    sec = raw.get(name, {})
+def _section(raw: dict, path: str, allowed: set) -> dict:
+    sec = raw.get(path.split(".")[-1], {})
     if not isinstance(sec, dict):
-        raise ConfigInvalid("must be an object", field=name)
+        raise ConfigInvalid("must be an object", field=path)
     for key in sec:
         if key not in allowed:
-            raise ConfigInvalid("unknown key", field=f"{name}.{key}")
+            raise ConfigInvalid("unknown key", field=f"{path}.{key}")
     return sec
 
 
@@ -200,11 +200,14 @@ def _grid(sweep: dict, name: str, seed: int, substream: int) -> list:
                 for i in entries]
     if not isinstance(spec, dict):
         raise ConfigInvalid("expected a list or a range object", field=path)
-    count_path = f"{path}.random" if "random" in spec else f"{path}.count"
+    draw = "random" in spec
+    _section(sweep, path, {"random", "low", "high"} if draw
+             else {"start", "stop", "count", "log"})
+    count_path = f"{path}.random" if draw else f"{path}.count"
     count = _scalar(spec, count_path, int)
     if count < 0:
         raise ConfigInvalid("must be non-negative", field=count_path)
-    if "random" in spec:
+    if draw:
         lo = float(_scalar(spec, f"{path}.low", _NUMBER, 0.0))
         hi = float(_scalar(spec, f"{path}.high", _NUMBER, 1.0))
         rng = np.random.default_rng([seed, substream])
@@ -532,14 +535,44 @@ class PointResult:
     tables: dict = field(default_factory=dict)
 
 
-def _status(n_fail: int, n_rows: int, detail: str = "") -> PointResult:
-    status = "pass" if n_fail == 0 else "fail"
-    msg = detail or (f"{n_fail} of {n_rows} rows violate"
-                     if n_fail else f"{n_rows} rows, all pass")
-    return PointResult(status, msg)
+class _RunMemo:
+    """Work the points of one ``run()`` call share.  ``once`` builds under
+    the lock, so the other points wait (the green window's distance
+    classes, several n^2 arrays at the dense cap).  ``get`` and
+    ``setdefault`` lock only to look up and to store: as ``run_induction``'s
+    ``roots``, two points that miss one key both track it and keep the
+    first, equal, step.  Work that raises stores nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._memo: dict = {}
+
+    def once(self, key, build):
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = build()
+            return self._memo[key]
+
+    def get(self, key):
+        with self._lock:
+            return self._memo.get(key)
+
+    def setdefault(self, key, value):
+        with self._lock:
+            return self._memo.setdefault(key, value)
 
 
-def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
+def _gated(name: str, table: Table, detail: str = "") -> PointResult:
+    """A point that fails if any row's last cell (``pass``) is false;
+    ``detail`` replaces the row count."""
+    n_fail = sum(not row[-1] for row in table.rows)
+    n = len(table.rows)
+    detail = detail or (f"{n_fail} of {n} rows violate" if n_fail
+                        else f"{n} rows, all pass")
+    return PointResult("fail" if n_fail else "pass", detail, {name: table})
+
+
+def _run_assemble(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     restriction = assemble_restriction(
         cfg.model, cfg.window, point["theta"], point["energy"])
     dim = cfg.model.dim
@@ -550,161 +583,110 @@ def _run_assemble(cfg: ExperimentConfig, point: dict) -> PointResult:
         table.rows.append(tuple(int(v) for v in row)
                           + (float(val.real), float(val.imag)))
     kind = "hermitian" if restriction.hermitian else "not hermitian"
-    res = _status(0, len(table.rows), f"{len(table.rows)} sites, {kind}")
-    res.tables["assemble"] = table
-    return res
+    return PointResult("pass", f"{len(table.rows)} sites, {kind}",
+                       {"assemble": table})
 
 
-class _GreenSweep:
-    """The points of one green sweep and the window data they share.
-
-    The window's sup-distance classes are built once, under a lock, by the
-    first point that solves; each point assembles and inverts its own
-    restriction.  An instance lives for one ``run()`` call.  A build that
-    raises stores nothing, so the next point tries it again.
-    """
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._lock = threading.Lock()
-        self._classes = None
-
-    def _distance_classes(self) -> tuple:
-        """``(order, starts, radii)``: ``order`` lists the flat pair indices
-        by sup-distance, class ``k`` at distance ``radii[k]`` starts at
-        ``starts[k]``."""
-        with self._lock:
-            if self._classes is None:
-                dist = pairwise_sup_dist(self.cfg.window.sites)
-                dist = dist.astype(np.int64).ravel()
-                # int32 indices: the dense cap keeps n^2 below 2^31
-                order = np.argsort(dist, kind="stable").astype(np.int32)
-                dist = dist[order]
-                starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
-                self._classes = (order, starts, dist[starts])
-            return self._classes
-
-    def __call__(self, point: dict) -> PointResult:
-        model = self.cfg.model
-        delta0 = self.cfg.schedule.delta(0)
-        theta, energy = point["theta"], point["energy"]
-        sites = self.cfg.window.sites
-        theta0 = solve_phase_for_energy(model.potential, energy)
-        phases = theta + sites.astype(float) @ model.frequency.array()
-        gap = np.minimum(torus_norm(phases - theta0),
-                         torus_norm(phases + theta0))
-        if float(np.min(gap)) < delta0:
-            return PointResult(
-                "skip", f"window is not 0-good at theta = {theta:.6g} "
-                f"(phase gap {float(np.min(gap)):.3e} < delta0 "
-                f"{delta0:.3e})")
-
-        order, starts, radii = self._distance_classes()
-        g = green_solve(assemble_restriction(
-            model, self.cfg.window, theta, energy).matrix)
-        # largest |G| in each distance class; the classes are symmetric
-        # sets of pairs, so G's memory order ("K") reads the same maxima
-        peak = g.matrix.ravel(order="K")[order]
-        np.abs(peak, out=peak)
-        peak = np.maximum.reduceat(peak, starts)
-        alpha, rho = model.hopping.alpha, model.hopping.rho
-        kappa1 = model.potential.kappa1
-        table = Table(("dist", "modulus", "bound", "pass"))
-        n_fail = 0
-        norm_bound = 2.0 / (kappa1 * delta0 ** 2)
-        for r, top in zip(radii.tolist(), peak.tolist()):
-            if r == 0:
-                bound = norm_bound
-                modulus = float(g.op_norm)
-            else:
-                bound = math.exp(-0.75 * alpha * math.log1p(r) ** rho)
-                modulus = top
-            ok = modulus <= bound * (1.0 + 1e-9)
-            n_fail += 0 if ok else 1
-            table.rows.append((int(r), modulus, bound, ok))
-        res = _status(n_fail, len(table.rows))
-        res.tables["green"] = table
-        return res
+def _distance_classes(window: LatticeBox) -> tuple:
+    """``(order, starts, radii)``: ``order`` lists the flat pair indices of
+    ``window`` by sup-distance, class ``k`` at distance ``radii[k]`` starts
+    at ``starts[k]``."""
+    dist = pairwise_sup_dist(window.sites)
+    dist = dist.astype(np.int64).ravel()
+    # int32 indices: the dense cap keeps n^2 below 2^31
+    order = np.argsort(dist, kind="stable").astype(np.int32)
+    dist = dist[order]
+    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
+    return order, starts, dist[starts]
 
 
-class _MsaSweep:
-    """The points of one msa sweep and the roots they share, as the
-    ``roots`` mapping of ``run_induction``.  A lookup and a store each take
-    the lock but the tracking between them does not, so two threads that
-    miss one key both track it and keep the first, equal, step.  An
-    instance lives for one ``run()`` call.
-    """
+def _run_green(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
+    model = cfg.model
+    delta0 = cfg.schedule.delta(0)
+    theta, energy = point["theta"], point["energy"]
+    sites = cfg.window.sites
+    theta0 = solve_phase_for_energy(model.potential, energy)
+    phases = theta + sites.astype(float) @ model.frequency.array()
+    gap = np.minimum(torus_norm(phases - theta0),
+                     torus_norm(phases + theta0))
+    if float(np.min(gap)) < delta0:
+        return PointResult(
+            "skip", f"window is not 0-good at theta = {theta:.6g} "
+            f"(phase gap {float(np.min(gap)):.3e} < delta0 "
+            f"{delta0:.3e})")
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._lock = threading.Lock()
-        self._roots: dict = {}
-
-    def get(self, key, default=None):
-        with self._lock:
-            return self._roots.get(key, default)
-
-    def setdefault(self, key, step):
-        with self._lock:
-            return self._roots.setdefault(key, step)
-
-    def __call__(self, point: dict) -> PointResult:
-        cfg = self.cfg
-        run = run_induction(cfg.model, point["theta"], point["energy"],
-                            cfg.window, cfg.schedule, cfg.s_target,
-                            roots=self)
-        table = Table(("s", "case", "shift2", "theta_re", "theta_im",
-                       "resonant_sites", "blocks", "pad_realized",
-                       "pad_declared", "deviation", "deviation_bound",
-                       "winding", "det_violations", "pass"))
-        n_fail = 0
-        res0 = run.res(0)
-        table.rows.append((0, "", "", float(res0.theta_s.real),
-                           float(res0.theta_s.imag), len(res0.q2), 0, 0, 0,
-                           0.0, 0.0, 0, 0, True))
-        for sd in run.scales[1:]:
-            fam, step = sd.family, sd.theta_step
-            shift = ("" if step.l is None
-                     else ";".join(str(int(v)) for v in step.l))
-            ok = step.deviation_ok and step.det_violations == 0
-            n_fail += 0 if ok else 1
-            table.rows.append((sd.s, step.case, shift,
-                               float(sd.res.theta_s.real),
-                               float(sd.res.theta_s.imag), len(sd.res.q2),
-                               len(fam.centers2), fam.realized_pad,
-                               fam.declared_pad, float(step.deviation),
-                               float(step.deviation_bound),
-                               int(step.winding_total),
-                               int(step.det_violations), ok))
-        res = _status(n_fail, len(table.rows),
-                      f"reached scale {run.depth} of {cfg.s_target}"
-                      if run.depth < cfg.s_target else "")
-        res.tables["msa"] = table
-        return res
+    order, starts, radii = memo.once(
+        "distance classes", lambda: _distance_classes(cfg.window))
+    g = green_solve(assemble_restriction(
+        model, cfg.window, theta, energy).matrix)
+    # largest |G| in each distance class; the classes are symmetric
+    # sets of pairs, so G's memory order ("K") reads the same maxima
+    peak = g.matrix.ravel(order="K")[order]
+    np.abs(peak, out=peak)
+    peak = np.maximum.reduceat(peak, starts)
+    alpha, rho = model.hopping.alpha, model.hopping.rho
+    kappa1 = model.potential.kappa1
+    table = Table(("dist", "modulus", "bound", "pass"))
+    norm_bound = 2.0 / (kappa1 * delta0 ** 2)
+    for r, top in zip(radii.tolist(), peak.tolist()):
+        if r == 0:
+            bound = norm_bound
+            modulus = float(g.op_norm)
+        else:
+            bound = math.exp(-0.75 * alpha * math.log1p(r) ** rho)
+            modulus = top
+        ok = modulus <= bound * (1.0 + 1e-9)
+        table.rows.append((int(r), modulus, bound, ok))
+    return _gated("green", table)
 
 
-def _run_dynamics(cfg: ExperimentConfig, point: dict) -> PointResult:
+def _run_msa(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
+    run = run_induction(cfg.model, point["theta"], point["energy"],
+                        cfg.window, cfg.schedule, cfg.s_target, roots=memo)
+    table = Table(("s", "case", "shift2", "theta_re", "theta_im",
+                   "resonant_sites", "blocks", "pad_realized",
+                   "pad_declared", "deviation", "deviation_bound",
+                   "winding", "det_violations", "pass"))
+    res0 = run.res(0)
+    table.rows.append((0, "", "", float(res0.theta_s.real),
+                       float(res0.theta_s.imag), len(res0.q2), 0, 0, 0,
+                       0.0, 0.0, 0, 0, True))
+    for sd in run.scales[1:]:
+        fam, step = sd.family, sd.theta_step
+        shift = ("" if step.l is None
+                 else ";".join(str(int(v)) for v in step.l))
+        ok = step.deviation_ok and step.det_violations == 0
+        table.rows.append((sd.s, step.case, shift,
+                           float(sd.res.theta_s.real),
+                           float(sd.res.theta_s.imag), len(sd.res.q2),
+                           len(fam.centers2), fam.realized_pad,
+                           fam.declared_pad, float(step.deviation),
+                           float(step.deviation_bound),
+                           int(step.winding_total),
+                           int(step.det_violations), ok))
+    return _gated("msa", table,
+                  f"reached scale {run.depth} of {cfg.s_target}"
+                  if run.depth < cfg.s_target else "")
+
+
+def _run_dynamics(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     model, p = cfg.model, cfg.p
     moment = time_avg_moment if cfg.averaged else moment_p
     ev = eigendata(model, cfg.window, point["theta"])
     t0 = ceiling_onset(cfg.schedule.delta(0), model.potential.beta)
     rho_prime = cfg.schedule.rho_prime
     table = Table(("t", "moment", "bound", "boundary_mass", "gated", "pass"))
-    n_fail = 0
     for t in cfg.times:
         mv = moment(ev, float(t), p)
         bound = moment_ceiling(t, p, rho_prime) if t > 1 else float("inf")
         gated = t >= t0 and mv.boundary_mass < 1e-6
         ok = (not gated) or mv.value <= bound
-        n_fail += 0 if ok else 1
         table.rows.append((float(t), mv.value, bound, mv.boundary_mass,
                            gated, ok))
-    res = _status(n_fail, len(table.rows))
-    res.tables["dynamics"] = table
-    return res
+    return _gated("dynamics", table)
 
 
-def _run_localize(cfg: ExperimentConfig, point: dict) -> PointResult:
+def _run_localize(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     model = cfg.model
     ev = eigendata(model, cfg.window, point["theta"])
     profiles = localization_profile(ev, model.hopping.rho)
@@ -715,9 +697,8 @@ def _run_localize(cfg: ExperimentConfig, point: dict) -> PointResult:
     for prof in profiles:
         table.rows.append((prof.eigenvalue,) + prof.center
                           + (prof.fitted_rate, prof.goodness, prof.support))
-    res = PointResult("pass", f"{len(table.rows)} eigenvectors profiled")
-    res.tables["localize"] = table
-    return res
+    return PointResult("pass", f"{len(table.rows)} eigenvectors profiled",
+                       {"localize": table})
 
 
 def _groups(*keys) -> list:
@@ -804,21 +785,17 @@ def _suite_rows(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _run_verify(cfg: ExperimentConfig, point: dict) -> PointResult:
+def _run_verify(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     table = Table(("suite", "instances", "violations", "pass"))
-    n_fail = 0
     for name, count, bad in _suite_rows(cfg):
-        ok = bad == 0
-        n_fail += 0 if ok else 1
-        table.rows.append((name, count, bad, ok))
-    res = _status(n_fail, len(table.rows))
-    res.tables["suites"] = table
-    return res
+        table.rows.append((name, count, bad, bad == 0))
+    return _gated("suites", table)
 
 
-_SWEEPS = {"green": _GreenSweep, "msa": _MsaSweep}
 _HANDLERS = {
     "assemble": _run_assemble,
+    "green": _run_green,
+    "msa": _run_msa,
     "dynamics": _run_dynamics,
     "localize": _run_localize,
     "verify-lemmas": _run_verify,
@@ -847,9 +824,8 @@ def run(cfg: ExperimentConfig, *, jobs: int = 1,
     """
     t_start = time.monotonic()
     points = cfg.points
-    # a green or msa sweep's shared data lives exactly as long as this call
-    handler = (_SWEEPS[cfg.kind](cfg) if cfg.kind in _SWEEPS
-               else functools.partial(_HANDLERS[cfg.kind], cfg))
+    # the points' shared work lives exactly as long as this call
+    handler = functools.partial(_HANDLERS[cfg.kind], cfg, _RunMemo())
 
     def point(i: int) -> PointResult:
         try:

@@ -1044,8 +1044,8 @@ def run_induction(model: ModelSpec, theta, energy, window: LatticeBox,
     so runs that share one mapping and build the same translated block at
     one E track its root once.  A miss tracks and stores with
     ``setdefault``; a call that raises stores nothing.  The mapping needs
-    only ``get`` and ``setdefault``; without one, each call uses a fresh
-    dict.
+    only ``get`` and ``setdefault`` (the CLI's run memo locks each one but
+    not the tracking); without one, each call uses a fresh dict.
     """
     if s_target > schedule.s_max:
         raise ValueError("schedule is too short for the requested depth")

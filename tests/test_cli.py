@@ -1,5 +1,6 @@
 """Config parsing, sweep orchestration, caching, and bundle emission."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -174,6 +176,11 @@ def test_grid_rejections():
          "sweep.theta"),
         ({"theta": {"random": -1}}, "sweep.theta.random"),
         ({"theta": "dense"}, "sweep.theta"),
+        # a misspelt key, or a key of the other grid form, is refused
+        ({"theta": {"start": 0.1, "stop": 0.2, "count": 3, "lgo": True}},
+         "sweep.theta.lgo"),
+        ({"theta": {"random": 2, "start": 0.5, "stop": 0.6, "count": 9}},
+         "sweep.theta.start"),
     ]
     for sweep, path in bad:
         sweep = {"radius": 8, "energy": [0.0], **sweep}
@@ -551,6 +558,21 @@ def test_green_sweep_caches_no_failure(monkeypatch, owner, name, n_calls):
     assert len(calls) == n_calls
 
 
+def test_green_sweep_builds_its_distance_classes_once(monkeypatch):
+    # the other points wait for the one build instead of starting their own
+    real = cli.pairwise_sup_dist
+    calls = []
+
+    def slow(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "pairwise_sup_dist", slow)
+    bundle = run(parse_config(make_raw("green", GREEN_SHARED)), jobs=4)
+    assert [e["status"] for e in bundle.summary] == ["pass"] * 4
+    assert len(calls) == 1
+
+
 def test_import_leaves_out_scipy_integrate():
     """scipy.integrate costs about 0.3 s and 23 MB to import; neither the
     CLI nor ``kernel_sum``, whose tail bound is in closed form, loads it."""
@@ -809,6 +831,79 @@ def test_combes_thomas_suite_is_the_same_in_any_chunks(monkeypatch):
                           complex(rng.uniform(-1.0, 1.0), 0.75))
 
 
+def test_every_kind_has_a_handler():
+    assert set(cli._HANDLERS) == set(KINDS)
+
+
+def _one_failing_green_row(monkeypatch, cfg):
+    # a tiny norm bound fails the r = 0 row only
+    pot = dataclasses.replace(cfg.model.potential, kappa1=1e30, kappa2=1e30)
+    return dataclasses.replace(
+        cfg, model=dataclasses.replace(cfg.model, potential=pot))
+
+
+def _one_failing_msa_row(monkeypatch, cfg):
+    real = qplab.msa.track_theta
+    monkeypatch.setattr(qplab.msa, "track_theta", lambda *args: (
+        dataclasses.replace(real(*args), det_violations=1)))
+    return cfg
+
+
+def _one_failing_dynamics_row(monkeypatch, cfg):
+    real = cli.moment_ceiling
+    monkeypatch.setattr(cli, "moment_ceiling", lambda t, p, rho_prime: (
+        0.0 if t == 200.0 else real(t, p, rho_prime)))
+    return cfg
+
+
+def _one_failing_verify_row(monkeypatch, cfg):
+    real = cli.extract_lower_bound
+
+    def planted(x, y, rho):
+        bound = real(x, y, rho)
+        bound[:3] = np.log1p(x[:3] - y[:3]) ** rho * 1.01
+        return bound
+    monkeypatch.setattr(cli, "extract_lower_bound", planted)
+    return cfg
+
+
+def _one_climber_msa_raw():
+    # scales 0 and 1
+    sweep = _planted_msa_sweep()
+    return _msa_raw(dict(sweep, theta=sweep["theta"][:1]))
+
+
+GATED_KINDS = {
+    "green": (lambda: make_raw("green", GREEN_PASS), _one_failing_green_row,
+              17),
+    "msa": (_one_climber_msa_raw, _one_failing_msa_row, 2),
+    # delta0 = 0.2 starts the ceiling at t = 125, so t = 200 is gated
+    "dynamics": (lambda: make_raw("dynamics", {"radius": 8, "theta": [0.1],
+                                               "times": [2.0, 200.0]},
+                                  schedule={"delta0": 0.2}),
+                 _one_failing_dynamics_row, 2),
+    "verify-lemmas": (default_config, _one_failing_verify_row, 6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GATED_KINDS))
+def test_pass_column_sets_the_status(monkeypatch, kind):
+    """Every gated kind reads its point's status off the last column: one
+    false cell fails the point and counts in its detail."""
+    make, plant, n_rows = GATED_KINDS[kind]
+    cfg = parse_config(make())
+    bundle = run(cfg)
+    assert [(e["status"], e["detail"]) for e in bundle.summary] == [
+        ("pass", f"{n_rows} rows, all pass")]
+    assert exit_code(bundle) == 0
+    bundle = run(plant(monkeypatch, cfg))
+    assert [(e["status"], e["detail"]) for e in bundle.summary] == [
+        ("fail", f"1 of {n_rows} rows violate")]
+    assert exit_code(bundle) == 1
+    (table,) = bundle.artifacts.values()
+    assert [row[-1] for row in table.rows].count(False) == 1
+
+
 # ---------------------------------------------------------------------------
 # emission
 
@@ -906,13 +1001,7 @@ def test_verify_lemmas_counts_a_planted_extract_violation(
         tmp_path, monkeypatch, capsys):
     # a bound above log^rho(1 + x - y) is a counted violation, a fail row
     # with exit code 1, not an error row
-    real = cli.extract_lower_bound
-
-    def planted(x, y, rho):
-        bound = real(x, y, rho)
-        bound[:3] = np.log1p(x[:3] - y[:3]) ** rho * 1.01
-        return bound
-    monkeypatch.setattr(cli, "extract_lower_bound", planted)
+    _one_failing_verify_row(monkeypatch, None)
     rc = main(["verify-lemmas", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "verify-lemmas: 0 pass, 1 fail" in capsys.readouterr().out
@@ -1075,6 +1164,8 @@ _BAD_GRID = st.one_of(
     st.lists(st.sampled_from([True, _NAN, "x"]), min_size=1, max_size=2),
     st.builds(lambda c: {"start": 0.1, "stop": 0.2, "count": c}, _BAD_COUNT),
     st.builds(lambda c: {"random": c}, _BAD_COUNT),
+    st.builds(lambda k: {"start": 0.1, "stop": 0.2, "count": 2, k: 1},
+              st.sampled_from(["lgo", "high", "random"])),
     st.builds(lambda v: {"random": 2, "low": v},
               st.one_of(st.text(max_size=3), st.booleans(), st.just(_NAN))))
 MUTATIONS = {
