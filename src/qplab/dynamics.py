@@ -18,12 +18,13 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import (
     BracketViolated,
     NotHermitian,
     PreconditionViolated,
+    Singular,
     SpectrumEscapes,
 )
 from .lattice import (
@@ -294,6 +295,10 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
     ``|G(0, n)| < exp(-(3/4) alpha_s log^rho(1+||n||))`` for every target at
     distance beyond ``exp((log t)^(2/(1+rho')))``; ``violations`` counts
     the targets whose ``log|G|`` exceeds the bound by more than 1e-9.
+    The origin and the targets are checked before assembly.  ``T = H - (E
+    + i/t)`` of an even kernel is complex symmetric, so the origin's column
+    is one Bunch-Kaufman LDL^T (``sytrf``; ``Singular`` on an exactly zero
+    pivot) and one ``sytrs``; a complex Hermitian kernel's takes one LU.
     """
     sched = run.schedule
     model = run.model
@@ -313,28 +318,41 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
     onset = math.exp(math.log(t) ** (2.0 / (1.0 + sched.rho_prime)))
 
     sites = run.window.sites
-    t_mat = assemble_t_matrix(model, sites, run.theta,
-                              complex(energy, 1.0 / t))
-    lu, piv = lu_factor(t_mat, check_finite=False)
     origin = np.flatnonzero(np.all(sites == 0, axis=1))
     if origin.size != 1:
         raise PreconditionViolated("run window must contain the origin")
-    e0 = np.zeros(sites.shape[0], dtype=complex)
-    e0[int(origin[0])] = 1.0
-    g0 = lu_solve((lu, piv), e0, check_finite=False)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
     idx = site_index(sites, targets)
+    dists = np.max(np.abs(targets), axis=1).astype(float)
+    if np.any(dists < onset):
+        i = int(np.argmax(dists < onset))
+        raise PreconditionViolated(
+            f"target {tuple(targets[i].tolist())} at distance {dists[i]:g} "
+            f"is inside the onset radius {onset:.4g}")
+    t_mat = assemble_t_matrix(model, sites, run.theta,
+                              complex(energy, 1.0 / t))
+    n = sites.shape[0]
+    e0 = np.zeros(n, dtype=complex)
+    e0[int(origin[0])] = 1.0
+    if np.array_equal(t_mat, t_mat.T):
+        sytrf, sytrs, sytrf_lwork = get_lapack_funcs(
+            ("sytrf", "sytrs", "sytrf_lwork"), (t_mat,))
+        # t_mat.T is t_mat in Fortran order, so it is factored in place
+        ldl, piv, info = sytrf(t_mat.T, lwork=int(sytrf_lwork(n)[0].real),
+                               overwrite_a=True)
+        if info > 0:
+            raise Singular(f"T(E + i/t) is singular (D_{info} is exactly "
+                           "zero)")
+        g0 = sytrs(ldl, piv, e0)[0]
+    else:
+        g0 = lu_solve(lu_factor(t_mat, check_finite=False), e0,
+                      check_finite=False)
 
     levels = deformation_levels(run, s)
     alpha_s = sched.alpha_seq[s]
     entries = []
-    for row, i in zip(targets, idx):
+    for row, i, dist in zip(targets, idx, dists.tolist()):
         key = tuple(int(v) for v in row)
-        dist = float(np.max(np.abs(row)))
-        if dist < onset:
-            raise PreconditionViolated(
-                f"target {key} at distance {dist:g} is inside the onset "
-                f"radius {onset:.4g}")
         seed = box_around(row.astype(float), dist / 5.0)
         o_n, rep = regular_deformation(seed, levels)
         regular = is_regular(o_n, levels)

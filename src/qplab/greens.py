@@ -61,15 +61,19 @@ class GreenMatrix:
 def green_solve(t: np.ndarray) -> GreenMatrix:
     """Invert a dense restriction and certify an upper bound on its norm.
 
-    Raises Singular when an LU pivot falls below ``PIVOT_RTOL`` times the
-    largest entry, when the identity residual of the computed inverse ``G``
-    exceeds the conditioning-aware gate, or when a residual bound ``Rbar_p``
-    below is not under 1/2.  ``G`` is formed in place from the checked LU
-    (LAPACK ``getri``).
+    ``G`` is formed in place from one factorization: Bunch-Kaufman LDL^T
+    (LAPACK ``sytrf``, ``sytri``, upper triangle mirrored, so ``G`` is
+    exactly symmetric) when ``T`` is real and equals its transpose bit for
+    bit, LU (``getri``) otherwise.  Raises Singular when a pivot (the
+    smallest singular value of a block of D, or of ``|U_ii|``) falls below
+    ``PIVOT_RTOL`` times the largest entry, when the identity residual of
+    ``G`` exceeds the conditioning-aware gate, or when a residual bound
+    ``Rbar_p`` below is not under 1/2.
 
-    ``op_norm`` bounds ``||T^{-1}||_2`` from above.  With ``R = T G - I``,
-    ``T^{-1} = G (I + R)^{-1}``, so ``||T^{-1}||_p <= ||G||_p / (1 -
-    Rbar_p)`` for p = 1, inf, and ``||.||_2^2 <= ||.||_1 ||.||_inf``.
+    ``op_norm`` bounds ``||T^{-1}||_2`` from above for any approximate
+    inverse ``G``.  With ``R = T G - I``, ``T^{-1} = G (I + R)^{-1}``, so
+    ``||T^{-1}||_p <= ||G||_p / (1 - Rbar_p)`` for p = 1, inf, and
+    ``||.||_2^2 <= ||.||_1 ||.||_inf``.
     ``Rbar_p = ||fl(R)||_p + gamma ||T||_p ||G||_p`` bounds ``||R||_p``:
     gamma bounds the rounding of the product relative to ``|T| |G|``,
     ``gamma_n = nu / (1 - nu)`` (``u = 2^-53``) in real and ``sqrt(2)
@@ -88,16 +92,34 @@ def green_solve(t: np.ndarray) -> GreenMatrix:
     scale = float(np.max(np.abs(t)))
     if not np.isfinite(scale) or scale == 0.0:
         raise Singular("matrix entries are zero or non-finite")
-    lu, piv = lu_factor(t)
-    pivot_min = float(np.min(np.abs(np.diag(lu))))
+    symmetric = np.isrealobj(t) and np.array_equal(t, t.T)
+    if symmetric:
+        sytrf, sytri, sytrf_lwork = get_lapack_funcs(
+            ("sytrf", "sytri", "sytrf_lwork"), (t,))
+        f, piv, _ = sytrf(t, lwork=int(sytrf_lwork(n)[0]))
+        # ipiv < 0 marks a 2 x 2 block of D twice; being symmetric, its
+        # singular values are its eigenvalues' moduli, |det| over the larger
+        d = f.diagonal()
+        j = np.flatnonzero(piv < 0)[::2]
+        a, b, c = d[j], f[j, j + 1], d[j + 1]
+        two = np.abs(a * c - b * b) / (np.abs(a + c) / 2.0
+                                       + np.hypot((a - c) / 2.0, b))
+        pivot_min = float(np.concatenate([np.abs(d[piv > 0]), two]).min())
+    else:
+        f, piv = lu_factor(t, check_finite=False)
+        pivot_min = float(np.min(np.abs(np.diag(f))))
     if not np.isfinite(pivot_min) or pivot_min < PIVOT_RTOL * scale:
         raise Singular(
             f"pivot {pivot_min:.3e} below threshold {PIVOT_RTOL * scale:.3e}")
-    getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (lu,))
-    lwork, _ = getri_lwork(n)
-    g, info = getri(lu, piv, lwork=int(np.real(lwork)), overwrite_lu=True)
+    if symmetric:
+        g, info = sytri(f, piv, overwrite_a=True)
+        np.copyto(g, g.T, where=np.tri(n, k=-1, dtype=bool))
+    else:
+        getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (f,))
+        lwork, _ = getri_lwork(n)
+        g, info = getri(f, piv, lwork=int(np.real(lwork)), overwrite_lu=True)
     if info != 0:
-        raise Singular(f"getri failed (info {info})")
+        raise Singular(f"inverse failed (info {info})")
     r = t @ g
     r[np.diag_indices(n)] -= 1.0
     residual = float(np.linalg.norm(r))

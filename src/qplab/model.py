@@ -393,8 +393,12 @@ class ModelSpec:
 # assembly
 
 
-def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray) -> np.ndarray:
-    """Dense (n, n) matrix phi(x - y) using a difference-table lookup."""
+def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray,
+                   dtype=None) -> np.ndarray:
+    """Dense (n, n) matrix phi(x - y) using a difference-table lookup;
+    float64 when the table has no imaginary part, else complex128.  The
+    table is promoted to ``dtype`` before the lookup, so a matrix that is
+    to end up complex is gathered once, in complex128."""
     n, d = sites.shape
     lo = sites.min(axis=0)
     ext = (sites.max(axis=0) - lo).astype(np.int64)
@@ -404,6 +408,10 @@ def toeplitz_block(kernel: HoppingKernel, sites: np.ndarray) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     table = kernel_weights(
         kernel, np.stack([m.ravel() for m in mesh], axis=1)).reshape(shape)
+    if not table.imag.any():
+        table = table.real
+    if dtype is not None:
+        table = table.astype(np.result_type(table, dtype))
     strides = np.ones(d, dtype=np.int64)
     for a in range(d - 2, -1, -1):
         strides[a] = strides[a + 1] * shape[a + 1]
@@ -426,7 +434,8 @@ def assemble_t_matrix(model: ModelSpec, sites, z, energy=0.0) -> np.ndarray:
     An array of phases gives a stack on one hopping table, each matrix bit
     for bit that of its phase alone.  The result is float64 when its
     imaginary part is exactly zero (real phases, energy and kernel), so that
-    real input factors in real arithmetic; otherwise it is complex128.
+    real input is assembled and factored in real arithmetic, bit for bit
+    the real part of the complex construction; otherwise it is complex128.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     n = sites.shape[0]
@@ -434,12 +443,15 @@ def assemble_t_matrix(model: ModelSpec, sites, z, energy=0.0) -> np.ndarray:
         raise BoxTooLarge(f"{n} sites exceed the dense cap of {DENSE_CAP}")
     phases = np.expand_dims(z, -1) + sites @ model.frequency.array()
     diag = np.asarray(eval_potential(model.potential, phases), dtype=complex)
-    mat = model.eps * toeplitz_block(model.hopping, sites)
+    energy = complex(energy)
+    if not (energy.imag or diag.imag.any()):
+        diag, energy = diag.real, energy.real
+    mat = model.eps * toeplitz_block(model.hopping, sites, diag.dtype)
     if np.ndim(z):
         mat = np.broadcast_to(mat, np.shape(z) + mat.shape).copy()
     on = np.arange(n)
-    mat[..., on, on] = mat[..., on, on] + diag - complex(energy)
-    return mat if mat.imag.any() else mat.real.copy()
+    mat[..., on, on] = mat[..., on, on] + diag - energy
+    return mat if np.isrealobj(mat) or mat.imag.any() else mat.real.copy()
 
 
 def is_hermitian(h: np.ndarray) -> bool:

@@ -446,10 +446,19 @@ def test_green_sweep_decay_entries_come_from_the_lu_inverse():
 GUARDED_MODULES = ("qplab.greens", "qplab.dynamics", "qplab.model")
 
 
+def lapack_through(get_lapack_funcs, wrap):
+    """``get_lapack_funcs`` whose routines pass through ``wrap(name, fn)``."""
+    def funcs(names, *args, **kwargs):
+        return [wrap(n, f) for n, f in
+                zip(names, get_lapack_funcs(names, *args, **kwargs))]
+    return funcs
+
+
 @pytest.fixture
 def dense_calls(monkeypatch):
     """Record (caller, function, dtype) for each factorization that
-    ``GUARDED_MODULES`` ask for."""
+    ``GUARDED_MODULES`` ask for, the LAPACK ``getrf`` and ``sytrf`` that
+    ``get_lapack_funcs`` hands out included."""
     calls = []
 
     def wrap(name, fn):
@@ -467,6 +476,9 @@ def dense_calls(monkeypatch):
     for mod in (qplab.greens, qplab.dynamics):
         monkeypatch.setattr(mod, "lu_factor", wrap("lu_factor",
                                                    mod.lu_factor))
+        monkeypatch.setattr(mod, "get_lapack_funcs", lapack_through(
+            mod.get_lapack_funcs,
+            lambda n, f: wrap(n, f) if n in ("getrf", "sytrf") else f))
     return calls
 
 
@@ -482,7 +494,7 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
     assert spectrum_bounds(rest).contained
     # every restriction path was reached, and none with a complex matrix
     seen = {(caller, name) for caller, name, _ in dense_calls}
-    assert seen == {("qplab.greens", "lu_factor"),
+    assert seen == {("qplab.greens", "sytrf"),
                     ("qplab.dynamics", "eigh"), ("qplab.model", "eigvalsh")}
     assert {dtype for _, _, dtype in dense_calls} == {np.dtype(np.float64)}
     # Combes-Thomas inverts H - z, complex by construction, and takes no
@@ -523,12 +535,29 @@ def test_last_bit_asymmetry_is_not_hermitian(dense_calls, weak_model):
     assert {name for _, name, _ in dense_calls} == {"lu_factor"}
 
 
+def test_green_solve_factors_once(dense_calls, weak_model):
+    """A real green point is one symmetric LDL^T and no LU; a complex or
+    a non-symmetric T is one LU."""
+    assert [e["status"] for e in run(parse_config(make_raw(
+        "green", GREEN_PASS))).summary] == ["pass"]
+    assert dense_calls == [("qplab.greens", "sytrf", np.dtype(np.float64))]
+    rest = assemble_restriction(weak_model, box_around(np.zeros(1), 8),
+                                0.113, 0.3)
+    t = rest.matrix.copy()
+    t[0, 1] = np.nextafter(t[0, 1], 1.0)
+    for matrix, dtype in ((rest.matrix + 0.1j, np.complex128),
+                          (t, np.float64)):
+        dense_calls.clear()
+        green_solve(matrix)
+        assert dense_calls == [("qplab.greens", "lu_factor", np.dtype(dtype))]
+
+
 def test_green_sweep_takes_no_spectrum(dense_calls):
     cfg = parse_config(make_raw("green", GREEN_SHARED))
     bundle = run(cfg)
     assert [e["status"] for e in bundle.summary] == ["pass"] * 4
     assert {name for caller, name, _ in dense_calls
-            if caller == "qplab.greens"} == {"lu_factor"}
+            if caller == "qplab.greens"} == {"sytrf"}
     for entry in bundle.summary:
         rest = assemble_restriction(cfg.model, cfg.window, entry["theta"],
                                     entry["energy"])
@@ -591,13 +620,18 @@ def _raise(exc_type):
 
 @pytest.mark.parametrize("exc_type", [np.linalg.LinAlgError, MemoryError])
 @pytest.mark.parametrize("kind, sweep, owner, name", [
-    ("green", GREEN_PASS, qplab.greens, "lu_factor"),
+    ("green", GREEN_PASS, qplab.greens, "sytrf"),
     ("dynamics", {"radius": 8, "theta": [0.1], "times": [1.0]},
      np.linalg, "eigh"),
-], ids=["green-lu_factor", "dynamics-eigh"])
+], ids=["green-sytrf", "dynamics-eigh"])
 def test_linalg_and_memory_errors_become_error_rows(
         tmp_path, monkeypatch, exc_type, kind, sweep, owner, name):
-    monkeypatch.setattr(owner, name, _raise(exc_type))
+    if owner is qplab.greens:
+        monkeypatch.setattr(owner, "get_lapack_funcs", lapack_through(
+            owner.get_lapack_funcs,
+            lambda n, f: _raise(exc_type) if n == name else f))
+    else:
+        monkeypatch.setattr(owner, name, _raise(exc_type))
     raw = make_raw(kind, sweep)
     bundle = run(parse_config(raw))
     assert [e["status"] for e in bundle.summary] == ["error"]

@@ -1,5 +1,6 @@
 """Dynamics: propagators, transport moments, and their Green-function bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import lu_factor, lu_solve
 
+import qplab.dynamics
 from qplab import (
     FrequencyVector,
     HoppingKernel,
@@ -354,6 +356,38 @@ def test_offaxis_decay_beyond_onset(offaxis_run):
     for entry in rep.entries:
         assert entry.log_green < entry.log_bound
         assert entry.regular_ok and entry.containment_ok
+
+
+@pytest.mark.parametrize("twisted", [False, True],
+                         ids=["symmetric", "complex-kernel"])
+def test_offaxis_column_matches_an_lu_solve(offaxis_run, twisted):
+    """The origin's column from one complex-symmetric LDL^T, or for a
+    complex Hermitian kernel (T not symmetric) from its LU, is that of an
+    LU solve of the same T."""
+    run = offaxis_run
+    if twisted:
+        run = dataclasses.replace(run, model=_twisted_model(run.model))
+    rep = offaxis_green_decay(run, 1, 0.3, 2000.0, [[170], [-180]])
+    sites = run.window.sites
+    t_mat = assemble_t_matrix(run.model, sites, run.theta,
+                              complex(0.3, 1.0 / 2000.0))
+    assert np.array_equal(t_mat, t_mat.T) != twisted
+    e0 = np.all(sites == 0, axis=1).astype(complex)
+    g = lu_solve(lu_factor(t_mat), e0)
+    for entry in rep.entries:
+        (i,) = np.flatnonzero(np.all(sites == entry.site, axis=1))
+        assert entry.log_green == pytest.approx(math.log(abs(g[i])),
+                                                abs=1e-12)
+
+
+def test_offaxis_checks_targets_before_assembly(offaxis_run, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assembled before the targets were checked")
+    monkeypatch.setattr(qplab.dynamics, "assemble_t_matrix", refuse)
+    with pytest.raises(PreconditionViolated, match="onset"):
+        offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170], [50]])
+    with pytest.raises(KeyError):
+        offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[500]])
 
 
 def test_offaxis_decay_guards(offaxis_run):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -94,25 +95,31 @@ def test_green_solve_norm_is_certified(kind, n, seed, shift):
 
 def test_green_solve_refuses_large_residual_bound(monkeypatch):
     """An inverse off by 0.6 in one entry passes the Frobenius gate of an
-    ill-conditioned T, but its residual bound is not below 1/2."""
-    t = np.diag([1.0, 1e-10])
+    ill-conditioned T, but its residual bound is not below 1/2: the LDL^T
+    inverse (``sytri``) of a symmetric T and the LU inverse (``getri``) of
+    a non-symmetric one."""
     real = qplab.greens.get_lapack_funcs
+    for t, spoil in ((np.diag([1.0, 1e-10]), "sytri"),
+                     (np.array([[1.0, 0.0], [1e-3, 1e-10]]), "getri")):
+        def spoiled(names, arrays):
+            funcs = list(real(names, arrays))
+            inverse = funcs[names.index(spoil)]
 
-    def spoiled(names, arrays):
-        getri, getri_lwork = real(names, arrays)
-
-        def getri_off(*args, **kwargs):
-            g, info = getri(*args, **kwargs)
-            g[0, 0] += 0.6
-            return g, info
-        return getri_off, getri_lwork
-    monkeypatch.setattr(qplab.greens, "get_lapack_funcs", spoiled)
-    with pytest.raises(Singular, match="residual bound"):
-        green_solve(t)
-    g = np.array([[1.6, 0.0], [0.0, 1e10]])
-    r = t @ g - np.eye(2)
-    assert np.linalg.norm(r) < 1e-8 * np.linalg.norm(t) * np.linalg.norm(g)
-    assert np.linalg.norm(r, np.inf) >= 0.5
+            def inverse_off(*args, **kwargs):
+                g, info = inverse(*args, **kwargs)
+                g[0, 0] += 0.6
+                return g, info
+            funcs[names.index(spoil)] = inverse_off
+            return funcs
+        monkeypatch.setattr(qplab.greens, "get_lapack_funcs", spoiled)
+        with pytest.raises(Singular, match="residual bound"):
+            green_solve(t)
+        g = np.linalg.inv(t)
+        g[0, 0] += 0.6
+        r = t @ g - np.eye(2)
+        assert (np.linalg.norm(r)
+                < 1e-8 * np.linalg.norm(t) * np.linalg.norm(g))
+        assert np.linalg.norm(r, np.inf) >= 0.5
 
 
 def test_green_solve_inverts():
@@ -122,6 +129,25 @@ def test_green_solve_inverts():
     np.testing.assert_allclose(g.matrix, np.linalg.inv(t), atol=1e-12)
     assert g.residual < 1e-12
     assert g.pivot_min > 0
+
+
+@pytest.mark.parametrize("t", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    # Bunch-Kaufman takes a 2 x 2 pivot at each zero diagonal entry
+    np.array([[0.0, 2.0, 0.0, 1e-3], [2.0, 0.0, 1.0, 0.0],
+              [0.0, 1.0, 0.0, 3.0], [1e-3, 0.0, 3.0, 0.0]]),
+], ids=["swap", "indefinite"])
+def test_green_solve_inverts_through_2x2_pivots(t):
+    """A small diagonal entry is where Bunch-Kaufman chooses a 2 x 2 block
+    of D; the pivot gate reads that block's smallest singular value, so an
+    orthogonal or well-conditioned indefinite T inverts."""
+    _, piv, _ = scipy.linalg.lapack.dsytrf(t)
+    assert np.any(piv < 0)
+    g = green_solve(t)
+    np.testing.assert_allclose(g.matrix, np.linalg.inv(t), atol=1e-14)
+    assert np.array_equal(g.matrix, g.matrix.T)
+    assert g.pivot_min > 0.1
+    assert g.op_norm >= 1.0 / np.linalg.svd(t, compute_uv=False)[-1]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")

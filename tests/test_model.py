@@ -281,6 +281,39 @@ def test_assemble_phase_stack_matches_each_phase(dim, radius, energy, imag):
     assert assemble_t_matrix(model, sites, phases[0], energy).ndim == 2
 
 
+@pytest.mark.parametrize("dim, radius", [(1, 16), (2, 3)])
+def test_real_assembly_is_the_complex_one_bit_for_bit(dim, radius):
+    """Real phases and energy assemble in float64, and give the real part
+    of the complex128 construction bit for bit, one phase or a stack; a
+    complex phase or energy still gives complex128."""
+    omega = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)[:dim]
+    model = ModelSpec(PotentialSpec.cosine(),
+                      HoppingKernel.saturating(1.0, 2.0),
+                      FrequencyVector(omega, 3.0, 0.1), 1e-3)
+    sites = box_around(np.zeros(dim), radius).sites.astype(float)
+    n = sites.shape[0]
+
+    def complex_build(z, energy):
+        mat = model.eps * toeplitz_block(model.hopping, sites).astype(complex)
+        mat = np.broadcast_to(mat, np.shape(z) + mat.shape).copy()
+        diag = np.asarray(eval_potential(
+            model.potential, np.expand_dims(z, -1) + sites @ np.array(omega)),
+            dtype=complex)
+        on = np.arange(n)
+        mat[..., on, on] = mat[..., on, on] + diag - complex(energy)
+        return np.real(mat)
+
+    for z in (0.113, complex(0.113), np.array([0.113, 0.5, 0.97])):
+        for energy in (0.0, 0.41, complex(0.41)):
+            t = assemble_t_matrix(model, sites, z, energy)
+            assert t.dtype == np.float64
+            assert t.tobytes() == complex_build(z, energy).tobytes()
+    assert assemble_t_matrix(model, sites, 0.113 + 0.1j, 0.41).dtype == \
+        np.complex128
+    assert assemble_t_matrix(model, sites, 0.113, 0.41 + 0.1j).dtype == \
+        np.complex128
+
+
 def test_assemble_restriction_flags(weak_model, small_window):
     rest = assemble_restriction(weak_model, small_window, 0.113, 0.3)
     assert rest.hermitian
