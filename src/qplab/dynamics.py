@@ -18,13 +18,12 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     BracketViolated,
     NotHermitian,
     PreconditionViolated,
-    Singular,
     SpectrumEscapes,
 )
 from .lattice import (
@@ -295,10 +294,8 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
     ``|G(0, n)| < exp(-(3/4) alpha_s log^rho(1+||n||))`` for every target at
     distance beyond ``exp((log t)^(2/(1+rho')))``; ``violations`` counts
     the targets whose ``log|G|`` exceeds the bound by more than 1e-9.
-    The origin and the targets are checked before assembly.  ``T = H - (E
-    + i/t)`` of an even kernel is complex symmetric, so the origin's column
-    is one Bunch-Kaufman LDL^T (``sytrf``; ``Singular`` on an exactly zero
-    pivot) and one ``sytrs``; a complex Hermitian kernel's takes one LU.
+    The origin and the targets are checked before assembly; the origin's
+    column takes one in-place LU of ``T = H - (E + i/t)``.
     """
     sched = run.schedule
     model = run.model
@@ -331,22 +328,11 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
             f"is inside the onset radius {onset:.4g}")
     t_mat = assemble_t_matrix(model, sites, run.theta,
                               complex(energy, 1.0 / t))
-    n = sites.shape[0]
-    e0 = np.zeros(n, dtype=complex)
+    e0 = np.zeros(sites.shape[0], dtype=complex)
     e0[int(origin[0])] = 1.0
-    if np.array_equal(t_mat, t_mat.T):
-        sytrf, sytrs, sytrf_lwork = get_lapack_funcs(
-            ("sytrf", "sytrs", "sytrf_lwork"), (t_mat,))
-        # t_mat.T is t_mat in Fortran order, so it is factored in place
-        ldl, piv, info = sytrf(t_mat.T, lwork=int(sytrf_lwork(n)[0].real),
-                               overwrite_a=True)
-        if info > 0:
-            raise Singular(f"T(E + i/t) is singular (D_{info} is exactly "
-                           "zero)")
-        g0 = sytrs(ldl, piv, e0)[0]
-    else:
-        g0 = lu_solve(lu_factor(t_mat, check_finite=False), e0,
-                      check_finite=False)
+    # t_mat.T is t_mat in Fortran order, so LAPACK factors it in place
+    g0 = lu_solve(lu_factor(t_mat.T, overwrite_a=True, check_finite=False),
+                  e0, trans=1, check_finite=False)
 
     levels = deformation_levels(run, s)
     alpha_s = sched.alpha_seq[s]

@@ -457,8 +457,8 @@ def lapack_through(get_lapack_funcs, wrap):
 @pytest.fixture
 def dense_calls(monkeypatch):
     """Record (caller, function, dtype) for each factorization that
-    ``GUARDED_MODULES`` ask for, the LAPACK ``getrf`` and ``sytrf`` that
-    ``get_lapack_funcs`` hands out included."""
+    ``GUARDED_MODULES`` ask for, the ``sytrf`` that greens takes from
+    ``get_lapack_funcs`` included."""
     calls = []
 
     def wrap(name, fn):
@@ -476,9 +476,9 @@ def dense_calls(monkeypatch):
     for mod in (qplab.greens, qplab.dynamics):
         monkeypatch.setattr(mod, "lu_factor", wrap("lu_factor",
                                                    mod.lu_factor))
-        monkeypatch.setattr(mod, "get_lapack_funcs", lapack_through(
-            mod.get_lapack_funcs,
-            lambda n, f: wrap(n, f) if n in ("getrf", "sytrf") else f))
+    monkeypatch.setattr(qplab.greens, "get_lapack_funcs", lapack_through(
+        qplab.greens.get_lapack_funcs,
+        lambda n, f: wrap(n, f) if n == "sytrf" else f))
     return calls
 
 

@@ -360,14 +360,23 @@ def test_offaxis_decay_beyond_onset(offaxis_run):
 
 @pytest.mark.parametrize("twisted", [False, True],
                          ids=["symmetric", "complex-kernel"])
-def test_offaxis_column_matches_an_lu_solve(offaxis_run, twisted):
-    """The origin's column from one complex-symmetric LDL^T, or for a
-    complex Hermitian kernel (T not symmetric) from its LU, is that of an
-    LU solve of the same T."""
+def test_offaxis_column_matches_an_lu_solve(offaxis_run, monkeypatch,
+                                            twisted):
+    """The origin's column, from one LU of ``T^T`` factored in place and
+    solved transposed, is that of an LU solve of ``T``; a complex Hermitian
+    kernel's ``T`` is not symmetric, so a solve with ``T^T`` would show."""
+    in_place = []
+
+    def record(a, *args, **kwargs):
+        lu_piv = lu_factor(a, *args, **kwargs)
+        in_place.append(np.shares_memory(lu_piv[0], a))
+        return lu_piv
+    monkeypatch.setattr(qplab.dynamics, "lu_factor", record)
     run = offaxis_run
     if twisted:
         run = dataclasses.replace(run, model=_twisted_model(run.model))
     rep = offaxis_green_decay(run, 1, 0.3, 2000.0, [[170], [-180]])
+    assert in_place == [True]
     sites = run.window.sites
     t_mat = assemble_t_matrix(run.model, sites, run.theta,
                               complex(0.3, 1.0 / 2000.0))
