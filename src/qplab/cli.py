@@ -97,7 +97,6 @@ from .errors import (
 from .greens import (
     combes_thomas_check,
     det_perturbation_check,
-    green_solve,
     hadamard_adjugate_check,
     sandwich_check,
     schur_complement,
@@ -107,9 +106,9 @@ from .lattice import (
     LatticeBox,
     box_around,
     extract_lower_bound,
-    pairwise_sup_dist,
     quasi_metric_certify,
     quasi_metric_defects,
+    sup_distance_classes,
 )
 from .model import (
     DENSE_CAP,
@@ -121,7 +120,13 @@ from .model import (
     assemble_t_matrix,
     solve_phase_for_energy,
 )
-from .msa import ScaleSchedule, build_schedule, run_induction
+from .msa import (
+    ScaleSchedule,
+    _estimate,
+    build_schedule,
+    run_induction,
+    scale0_bounds,
+)
 from .torus import torus_norm
 
 # what a failing point may raise and still end as an ``error`` row: package
@@ -587,19 +592,6 @@ def _run_assemble(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
                        {"assemble": table})
 
 
-def _distance_classes(window: LatticeBox) -> tuple:
-    """``(order, starts, radii)``: ``order`` lists the flat pair indices of
-    ``window`` by sup-distance, class ``k`` at distance ``radii[k]`` starts
-    at ``starts[k]``."""
-    dist = pairwise_sup_dist(window.sites)
-    dist = dist.astype(np.int64).ravel()
-    # int32 indices: the dense cap keeps n^2 below 2^31
-    order = np.argsort(dist, kind="stable").astype(np.int32)
-    dist = dist[order]
-    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
-    return order, starts, dist[starts]
-
-
 def _run_green(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     model = cfg.model
     delta0 = cfg.schedule.delta(0)
@@ -615,28 +607,15 @@ def _run_green(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
             f"(phase gap {float(np.min(gap)):.3e} < delta0 "
             f"{delta0:.3e})")
 
-    order, starts, radii = memo.once(
-        "distance classes", lambda: _distance_classes(cfg.window))
-    g = green_solve(assemble_restriction(
-        model, cfg.window, theta, energy).matrix)
-    # largest |G| in each distance class; the classes are symmetric
-    # sets of pairs, so G's memory order ("K") reads the same maxima
-    peak = g.matrix.ravel(order="K")[order]
-    np.abs(peak, out=peak)
-    peak = np.maximum.reduceat(peak, starts)
-    alpha, rho = model.hopping.alpha, model.hopping.rho
-    kappa1 = model.potential.kappa1
+    classes = memo.once("distance classes",
+                        lambda: sup_distance_classes(sites))
+    norm_bound, decay = scale0_bounds(model, cfg.schedule)
+    est = _estimate(model, sites, theta, energy,
+                    (math.log(norm_bound),) * 2, decay, classes)
+    fit = est.decay
     table = Table(("dist", "modulus", "bound", "pass"))
-    norm_bound = 2.0 / (kappa1 * delta0 ** 2)
-    for r, top in zip(radii.tolist(), peak.tolist()):
-        if r == 0:
-            bound = norm_bound
-            modulus = float(g.op_norm)
-        else:
-            bound = math.exp(-0.75 * alpha * math.log1p(r) ** rho)
-            modulus = top
-        ok = modulus <= bound * (1.0 + 1e-9)
-        table.rows.append((int(r), modulus, bound, ok))
+    table.rows.append((0, est.norm, norm_bound, est.norm_ok))
+    table.rows.extend(zip(fit.dists, fit.peaks, fit.bounds, fit.ok))
     return _gated("green", table)
 
 

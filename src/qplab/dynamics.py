@@ -28,6 +28,7 @@ from .errors import (
 )
 from .lattice import (
     LatticeBox,
+    as_sites,
     box_around,
     is_regular,
     pairwise_sup_dist,
@@ -40,7 +41,6 @@ from .model import (
     ModelSpec,
     assemble_t_matrix,
     is_hermitian,
-    log_decay_envelope,
 )
 from .msa import MsaRun, deformation_levels
 from .torus import torus_norm
@@ -217,7 +217,7 @@ def green_moment_bound(model: ModelSpec, ev: EvolutionData, t: float,
     if t <= 0:
         raise ValueError("time must be positive")
 
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
+    targets = as_sites(np.asarray(targets, dtype=np.int64), model.dim)
     idx = site_index(ev.sites, targets)
     rows = ev.eigvecs[idx] * ev.weights0[None, :]
 
@@ -305,6 +305,8 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
             f"energy {energy:g} outside the padded spectral range")
     if s < 1 or s > sched.s_max:
         raise ValueError(f"scale {s} is outside the schedule")
+    if not t > 0:
+        raise BracketViolated(f"time t = {t:g} is not positive")
     log_inv_t = -math.log(t)
     lo = 3.0 * sched.log_delta[s]
     hi = min(3.0 * sched.log_delta[s - 1], math.log(pot.beta))
@@ -318,7 +320,7 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
     origin = np.flatnonzero(np.all(sites == 0, axis=1))
     if origin.size != 1:
         raise PreconditionViolated("run window must contain the origin")
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.int64))
+    targets = as_sites(np.asarray(targets, dtype=np.int64), model.dim)
     idx = site_index(sites, targets)
     dists = np.max(np.abs(targets), axis=1).astype(float)
     if np.any(dists < onset):
@@ -347,7 +349,7 @@ def offaxis_green_decay(run: MsaRun, s: int, energy: float, t: float,
                      and set_contains(outer.sites, o_n))
         val = abs(complex(g0[i]))
         log_g = math.log(val) if val > 0 else -math.inf
-        log_b = 0.75 * float(log_decay_envelope(alpha_s, sched.rho, dist))
+        log_b = 0.75 * float(-alpha_s * np.log1p(dist) ** sched.rho)
         entries.append(OffAxisEntry(key, dist, log_g, log_b, regular,
                                     contained, rep.realized_pad))
 

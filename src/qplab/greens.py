@@ -26,7 +26,7 @@ from .errors import (
     Singular,
 )
 from .lattice import as_sites, pairwise_sup_dist, symmetric_about_origin
-from .model import assemble_t_matrix, is_hermitian, log_decay_envelope
+from .model import assemble_t_matrix, is_hermitian
 
 LOG2 = float(np.log(2.0))
 # fixed gates: the relative LU pivot and identity residual of green_solve,
@@ -399,52 +399,51 @@ def determinant_evenness_check(model, sites, z: complex,
 
 @dataclass(frozen=True)
 class DecayFit:
+    """Per sup-distance class past ``threshold``: its distance, largest
+    ``|G|`` entry, envelope bound and pass."""
+
     alpha_target: float
-    fitted_alpha: float
     threshold: float
-    n_pairs: int
-    violations: int
-    worst_pair: tuple | None
+    dists: tuple
+    peaks: tuple
+    bounds: tuple
+    ok: tuple
+    worst_dist: int | None
     max_log_excess: float
+
+    @property
+    def violations(self) -> int:
+        return self.ok.count(False)
 
     @property
     def holds(self) -> bool:
         return self.violations == 0
 
 
-def decay_scan(g: np.ndarray, sites: np.ndarray, alpha: float, rho: float, *,
+def decay_scan(g: np.ndarray, classes: tuple, alpha: float, rho: float, *,
                threshold: float = 0.0) -> DecayFit:
-    """Check ``|G(x,y)| <= exp(-alpha log^rho(1+dist))``.
+    """Check ``|G(x,y)| <= exp(-alpha log^rho(1+dist))`` at the largest
+    entry of each class of ``lattice.sup_distance_classes``.
 
-    Pairs at distance <= ``threshold`` are exempt (the estimates only speak
-    past a resonance-sized core).  The fitted rate is the least-squares slope
-    of ``-log|G|`` against ``log^rho(1+dist)`` over the scanned pairs, a
-    diagnostic rather than a gate.
+    Classes at distance <= ``threshold`` are exempt (the estimates only
+    speak past a resonance-sized core).  A class fails when its log excess
+    passes ``DECAY_LOG_TOL``; ``worst_dist``, set when one fails, is the
+    distance of the largest excess.
     """
-    g = np.asarray(g)
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    dist = pairwise_sup_dist(sites)
-    sel = dist > threshold
-    n_pairs = int(np.count_nonzero(sel))
-    if n_pairs == 0:
-        return DecayFit(alpha, float("nan"), threshold, 0, 0, None,
-                        float("-inf"))
-    with np.errstate(divide="ignore"):
-        log_g = np.log(np.abs(g))
-    excess = log_g - log_decay_envelope(alpha, rho, dist)
-    excess = np.where(sel, excess, -np.inf)
-    bad = excess > DECAY_LOG_TOL
-    worst = None
-    if np.any(bad):
-        i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        worst = (tuple(sites[i].tolist()), tuple(sites[j].tolist()))
-    live = sel & np.isfinite(log_g) & (log_g > -690.0)
-    if np.count_nonzero(live) >= 2:
-        x = np.log1p(dist[live]) ** rho
-        y = -log_g[live]
-        denom = float(np.sum(x * x))
-        fitted = float(np.sum(x * y) / denom) if denom > 0 else float("nan")
-    else:
-        fitted = float("nan")
-    return DecayFit(alpha, fitted, threshold, n_pairs,
-                    int(np.count_nonzero(bad)), worst, float(np.max(excess)))
+    order, starts, radii = classes
+    # the classes are symmetric sets of pairs, so G's memory order ("K")
+    # reads the same maxima
+    peak = np.asarray(g).ravel(order="K")[order]
+    peak = np.maximum.reduceat(np.abs(peak, out=peak).real, starts)
+    keep = radii > threshold
+    dists, peaks = radii[keep].tolist(), peak[keep].tolist()
+    bounds, excess = [], []
+    for r, top in zip(dists, peaks):
+        log_env = -alpha * math.log1p(r) ** rho
+        bounds.append(math.exp(log_env))
+        excess.append(math.log(top) - log_env if top > 0 else -math.inf)
+    ok = tuple(x <= DECAY_LOG_TOL for x in excess)
+    worst = max(excess, default=-math.inf)
+    return DecayFit(alpha, threshold, tuple(dists), tuple(peaks),
+                    tuple(bounds), ok,
+                    None if all(ok) else dists[excess.index(worst)], worst)

@@ -127,21 +127,23 @@ def box_around(center, radius, *, site_cap: int = DEFAULT_SITE_CAP) -> LatticeBo
 # site-set arithmetic
 
 
-def as_sites(obj) -> np.ndarray:
-    """Coerce a box, array, or iterable of vectors to an (n, d) int array."""
-    if isinstance(obj, LatticeBox):
-        return obj.sites
-    arr = np.asarray(obj)
-    if arr.size == 0:
-        return arr.reshape(0, arr.shape[-1] if arr.ndim == 2 else 1).astype(np.int64)
+def as_sites(obj, dim: int | None = None) -> np.ndarray:
+    """Coerce a box, array, or iterable of vectors to an (n, d) int array; a
+    flat sequence is a column of sites in d = 1.  With ``dim``, a width
+    other than ``dim`` raises PreconditionViolated."""
+    arr = obj.sites if isinstance(obj, LatticeBox) else np.asarray(obj)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.dtype.kind in "iu":
-        return arr.astype(np.int64, copy=False)
-    out = np.rint(arr).astype(np.int64)
-    if np.max(np.abs(arr - out)) > 1e-9:
-        raise ValueError("site coordinates must be integers")
-    return out
+    if arr.size and arr.dtype.kind not in "iu":
+        out = np.rint(arr)
+        if np.max(np.abs(arr - out)) > 1e-9:
+            raise ValueError("site coordinates must be integers")
+        arr = out
+    if dim is not None and arr.shape[-1] != dim:
+        raise PreconditionViolated(
+            f"sites have width {arr.shape[-1]}, the model's dimension is "
+            f"{dim}")
+    return arr.reshape(-1, arr.shape[-1]).astype(np.int64, copy=False)
 
 
 class _Frame:
@@ -275,6 +277,18 @@ def pairwise_sup_dist(a, b=None) -> np.ndarray:
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+
+
+def sup_distance_classes(sites) -> tuple:
+    """``(order, starts, radii)``: ``order`` lists the flat pair indices of
+    ``sites`` by sup-distance, class ``k`` at distance ``radii[k]`` starts
+    at ``starts[k]``."""
+    dist = pairwise_sup_dist(sites).astype(np.int64).ravel()
+    # int32 indices: the dense cap keeps n^2 below 2^31
+    order = np.argsort(dist, kind="stable").astype(np.int32)
+    dist = dist[order]
+    starts = np.flatnonzero(np.r_[True, dist[1:] != dist[:-1]])
+    return order, starts, dist[starts]
 
 
 def sets_intersect(a, b) -> bool:

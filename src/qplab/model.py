@@ -32,13 +32,6 @@ from .torus import canonical_root, torus_norm, wrap_to_unit
 TWO_PI = 2.0 * math.pi
 
 
-def log_decay_envelope(alpha: float, rho: float, dist) -> np.ndarray:
-    """log of the decay envelope: ``-alpha * log^rho(1 + dist)``."""
-    dist = np.asarray(dist, dtype=float)
-    out = -alpha * np.log1p(dist) ** rho
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # potential
 

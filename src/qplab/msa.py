@@ -50,6 +50,7 @@ from .lattice import (
     set_union,
     site_index,
     sup_dist_sets,
+    sup_distance_classes,
     symmetric_about_origin,
 )
 from .model import (
@@ -65,6 +66,7 @@ from .torus import (
     log_torus_norm,
     torus_norm,
     wrap_to_symmetric,
+    wrap_to_unit,
 )
 
 MAX_EXP = 700.0
@@ -1121,7 +1123,7 @@ def check_good(run: MsaRun, sites, s: int) -> GoodSetReport:
     """
     if s > run.depth:
         raise ValueError(f"run only reaches scale {run.depth}")
-    lam = np.atleast_2d(np.asarray(sites, dtype=np.int64))
+    lam = as_sites(np.asarray(sites, dtype=np.int64), run.model.dim)
     failures = []
 
     def enlarged_tile(scale: int, key: tuple) -> np.ndarray:
@@ -1148,9 +1150,7 @@ def check_good(run: MsaRun, sites, s: int) -> GoodSetReport:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    s: int
-    mode: str
-    log_norm: float
+    norm: float
     log_bound: float
     log_bound_coarse: float
     norm_ok: bool
@@ -1175,49 +1175,61 @@ def _log_phase_factor(run: MsaRun, s: int, lam: np.ndarray) -> float:
     return best
 
 
-def _estimate(run: MsaRun, s: int, mode: str, sites: np.ndarray,
-              log_bound: float, log_coarse: float,
-              decay: tuple | None) -> EstimateReport:
-    """Invert T on ``sites`` and gate its log norm at the tighter of the two
-    bounds; ``decay = (alpha, threshold)`` also scans the entries for decay
-    at rate alpha past sup-distance ``threshold``."""
-    g = green_solve(assemble_t_matrix(run.model, sites, run.theta,
-                                      run.energy))
-    log_norm = math.log(g.op_norm)
-    norm_ok = log_norm <= min(log_bound, log_coarse) + 1e-9
-    fit = (None if decay is None else
-           decay_scan(g.matrix, sites, decay[0], run.schedule.rho,
-                      threshold=decay[1]))
-    return EstimateReport(s, mode, log_norm, log_bound, log_coarse, norm_ok,
-                          fit, norm_ok and (fit is None or fit.holds))
+def scale0_bounds(model: ModelSpec, schedule: ScaleSchedule) -> tuple:
+    """``(norm bound, decay)`` of the estimate on 0-good sets: the Morse
+    floor ``||G|| <= 2 kappa1^-1 delta_0^-2`` and ``decay = (alpha_0, 0)``,
+    rate ``alpha_0 = (3/4) alpha`` at every distance past 0."""
+    return (2.0 / (model.potential.kappa1 * schedule.delta(0) ** 2),
+            (schedule.alpha_seq[0], 0.0))
+
+
+def _estimate(model: ModelSpec, sites: np.ndarray, theta, energy,
+              bounds: tuple, decay: tuple | None,
+              classes: tuple | None = None) -> EstimateReport:
+    """Invert T on ``sites`` (Re theta reduced into [0, 1)) and gate its log
+    norm at the tighter of the two log ``bounds``; ``decay = (alpha,
+    threshold)`` also gates each sup-distance class of ``classes`` (default
+    ``sup_distance_classes(sites)``) past ``threshold`` at rate alpha.  The
+    green sweep and ``verify_good_set``/``verify_block`` share this."""
+    g = green_solve(assemble_t_matrix(
+        model, sites, complex(wrap_to_unit(theta)), complex(energy)))
+    norm_ok = math.log(g.op_norm) <= min(bounds) + 1e-9
+    fit = None
+    if decay is not None:
+        if classes is None:
+            classes = sup_distance_classes(sites)
+        fit = decay_scan(g.matrix, classes, decay[0], model.hopping.rho,
+                         threshold=decay[1])
+    return EstimateReport(g.op_norm, *bounds, norm_ok, fit,
+                          norm_ok and (fit is None or fit.holds))
 
 
 def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
     """Inverse-norm and decay estimate on an s-good set.
 
-    Scale 0 uses the Morse floor (norm at most ``2 kappa1^-1 delta_0^-2``,
-    decay ``(3/4) alpha`` at every distance); later scales use
-    ``2 delta_{s-1}^-3`` times the worst inverse distance product over the
-    contained enlarged blocks (coarsely ``delta_s^-3``), with decay
-    ``alpha_s`` past ten enlarged diameters.  These are the paper's Green's
+    Scale 0 uses ``scale0_bounds``, as the green sweep does; later scales
+    use ``2 delta_{s-1}^-3`` times the worst inverse distance product over
+    the contained enlarged blocks (coarsely ``delta_s^-3``), with decay
+    ``alpha_s`` past ten enlarged diameters.  Both solve and gate in
+    ``_estimate``, the green sweep's routine.  These are the paper's Green's
     function estimates on s-good sets, the conclusion of the induction.
     """
     report = check_good(run, sites, s)
     if not report.good:
         raise PreconditionViolated(
             f"set is not {s}-good: first failure {report.failures[0]}")
-    sites_arr = np.atleast_2d(np.asarray(sites, dtype=np.int64))
+    sites_arr = as_sites(np.asarray(sites, dtype=np.int64), run.model.dim)
     sched = run.schedule
     if s == 0:
-        log_bound = (math.log(2.0 / run.model.potential.kappa1)
-                     - 2.0 * sched.log_delta[0])
-        return _estimate(run, s, "good-set", sites_arr, log_bound, log_bound,
-                         (sched.alpha_seq[0], 0.0))
-    log_bound = (math.log(2.0) - 3.0 * sched.log_delta[s - 1]
-                 + _log_phase_factor(run, s, sites_arr))
-    return _estimate(run, s, "good-set", sites_arr, log_bound,
-                     -3.0 * sched.log_delta[s],
-                     (sched.alpha_seq[s], 10.0 * run.family(s).zeta_tilde))
+        norm_bound, decay = scale0_bounds(run.model, sched)
+        bounds = (math.log(norm_bound),) * 2
+    else:
+        bounds = (math.log(2.0) - 3.0 * sched.log_delta[s - 1]
+                  + _log_phase_factor(run, s, sites_arr),
+                  -3.0 * sched.log_delta[s])
+        decay = (sched.alpha_seq[s], 10.0 * run.family(s).zeta_tilde)
+    return _estimate(run.model, sites_arr, run.theta, run.energy, bounds,
+                     decay)
 
 
 def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
@@ -1245,9 +1257,9 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
                 f"center {key} is resonant at scale {s}; the off-diagonal "
                 "estimate does not apply")
         return _estimate(
-            run, s, mode, fam.enlarged[key],
-            -2.0 * sched.log_delta[s - 1] - 2.0 * sched.log_delta[s],
-            -3.0 * sched.log_delta[s],
+            run.model, fam.enlarged[key], run.theta, run.energy,
+            (-2.0 * sched.log_delta[s - 1] - 2.0 * sched.log_delta[s],
+             -3.0 * sched.log_delta[s]),
             (sched.alpha_prime[s], fam.zeta_tilde / 10.0))
     if mode != "resonant":
         raise ValueError(f"unknown block estimate mode {mode!r}")
@@ -1256,8 +1268,8 @@ def verify_block(run: MsaRun, s: int, center2, mode: str = "offdiag"
     log_bound = (-2.0 * sched.log_delta[s - 1]
                  - float(log_torus_norm(phase - res.theta_s))
                  - float(log_torus_norm(phase + res.theta_s)))
-    return _estimate(run, s, mode, fam.enlarged[key], log_bound, math.inf,
-                     None)
+    return _estimate(run.model, fam.enlarged[key], run.theta, run.energy,
+                     (log_bound, math.inf), None)
 
 
 def deformation_levels(run: MsaRun, s: int):

@@ -45,6 +45,7 @@ from qplab import (
     track_theta,
     verify_block_family,
 )
+from qplab.lattice import sup_distance_classes
 from qplab.model import toeplitz_block
 from qplab.msa import CaseData, ResonanceStructure
 from qplab.torus import torus_norm
@@ -298,6 +299,7 @@ def test_criterion_03_zero_good_boxes(weak_model, golden_frequency,
     theta0 = solve_phase_for_energy(cosine_potential, energy).real
     win = box_around(np.zeros(1), 64)
     sites = win.sites
+    classes = sup_distance_classes(sites)
     offs = sites @ omega
     rng = np.random.default_rng(31)
     thetas = rng.uniform(0.0, 1.0, 200)
@@ -317,7 +319,7 @@ def test_criterion_03_zero_good_boxes(weak_model, golden_frequency,
         worst_norm = max(worst_norm, nrm)
         if nrm > bound:
             bad_norm += 1
-        fit = decay_scan(g.matrix, sites, 0.75, 2.0)
+        fit = decay_scan(g.matrix, classes, 0.75, 2.0)
         if not fit.holds:
             bad_decay += 1
     elapsed = time.monotonic() - start

@@ -45,6 +45,7 @@ from qplab.model import (
     assemble_restriction,
     spectrum_bounds,
 )
+from qplab.msa import run_induction, scale0_bounds, verify_good_set
 
 
 def make_raw(kind, sweep, model=None, schedule=None):
@@ -567,8 +568,26 @@ def test_green_sweep_takes_no_spectrum(dense_calls):
         assert row0[1] >= np.linalg.norm(np.linalg.inv(rest.matrix), 2)
 
 
+def test_green_sweep_table_is_the_good_set_estimate():
+    """A green point's table is ``verify_good_set(run, window, 0)`` on an
+    s = 0 run at its phase and energy: one scale-0 estimate."""
+    cfg = parse_config(make_raw("green", GREEN_SHARED))
+    bundle = run(cfg)
+    for entry in bundle.summary:
+        table = bundle.artifacts[entry["artifacts"][0]]
+        est = verify_good_set(
+            run_induction(cfg.model, entry["theta"], entry["energy"],
+                          cfg.window, cfg.schedule, 0), cfg.window.sites, 0)
+        fit = est.decay
+        assert table.rows[0] == (0, est.norm, scale0_bounds(
+            cfg.model, cfg.schedule)[0], est.norm_ok)
+        assert table.rows[0][2] == pytest.approx(math.exp(est.log_bound))
+        assert table.rows[1:] == list(zip(fit.dists, fit.peaks, fit.bounds,
+                                          fit.ok))
+
+
 @pytest.mark.parametrize("owner, name, n_calls", [
-    (cli, "pairwise_sup_dist", 2),  # once per sweep, plus the retry
+    (cli, "sup_distance_classes", 2),  # once per sweep, plus the retry
 ], ids=["window"])
 def test_green_sweep_caches_no_failure(monkeypatch, owner, name, n_calls):
     real = getattr(owner, name)
@@ -589,14 +608,14 @@ def test_green_sweep_caches_no_failure(monkeypatch, owner, name, n_calls):
 
 def test_green_sweep_builds_its_distance_classes_once(monkeypatch):
     # the other points wait for the one build instead of starting their own
-    real = cli.pairwise_sup_dist
+    real = cli.sup_distance_classes
     calls = []
 
     def slow(*args, **kwargs):
         calls.append(args)
         time.sleep(0.05)
         return real(*args, **kwargs)
-    monkeypatch.setattr(cli, "pairwise_sup_dist", slow)
+    monkeypatch.setattr(cli, "sup_distance_classes", slow)
     bundle = run(parse_config(make_raw("green", GREEN_SHARED)), jobs=4)
     assert [e["status"] for e in bundle.summary] == ["pass"] * 4
     assert len(calls) == 1

@@ -217,6 +217,9 @@ def test_boundary_mass_reported(cosine_potential, saturating_kernel,
 def test_green_moment_bound_holds(weak_model, weak_ev16, mode):
     rep = green_moment_bound(weak_model, weak_ev16, 10.0,
                              [[3], [7], [12]], mode=mode)
+    flat = green_moment_bound(weak_model, weak_ev16, 10.0, [3, 7, 12],
+                              mode=mode)
+    assert np.array_equal(flat.lhs, rep.lhs)
     assert rep.holds
     assert rep.solves == 0 and not rep.budget_hit
     assert np.all(rep.lhs >= 0.0)
@@ -282,6 +285,8 @@ def test_green_moment_bound_guards(weak_model, weak_ev16, cosine_potential,
     with pytest.raises(ValueError):
         green_moment_bound(weak_model, weak_ev16, 10.0, [[3]],
                            mode="sideways")
+    with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
+        green_moment_bound(weak_model, weak_ev16, 10.0, [[3, 7]])
     loud = ModelSpec(cosine_potential, saturating_kernel, golden_frequency,
                      1.0, eps0=1.0)
     ev = evolve_amplitudes(loud, box_around(np.zeros(1), 16), 0.3)
@@ -350,6 +355,8 @@ def offaxis_run(cosine_potential, saturating_kernel, golden_frequency):
 
 def test_offaxis_decay_beyond_onset(offaxis_run):
     rep = offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170], [185]])
+    assert offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0,
+                               [170, 185]) == rep
     assert rep.holds
     assert rep.onset == pytest.approx(158.59, abs=0.05)
     assert rep.violations == 0
@@ -397,6 +404,11 @@ def test_offaxis_checks_targets_before_assembly(offaxis_run, monkeypatch):
         offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170], [50]])
     with pytest.raises(KeyError):
         offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[500]])
+    with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
+        offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170, 185]])
+    for t in (0.0, -1.0):
+        with pytest.raises(BracketViolated, match=f"t = {t:g} "):
+            offaxis_green_decay(offaxis_run, 1, 0.3, t, [[170]])
 
 
 def test_offaxis_decay_guards(offaxis_run):

@@ -34,7 +34,7 @@ from qplab.model import (
     assemble_restriction,
     box_around,
 )
-from qplab.lattice import pairwise_sup_dist
+from qplab.lattice import pairwise_sup_dist, sup_distance_classes
 
 
 def _random_complex(rng, n, m=None):
@@ -441,17 +441,24 @@ def test_decay_scan_envelope_recovery():
     sites = np.arange(-10, 11)[:, None].astype(float)
     d = pairwise_sup_dist(sites)
     g = np.exp(-0.8 * np.log1p(d) ** 2)
-    loose = decay_scan(g, sites, 0.7, 2.0)
+    classes = sup_distance_classes(sites)
+    loose = decay_scan(g, classes, 0.7, 2.0)
     assert loose.holds and loose.violations == 0
-    assert loose.fitted_alpha == pytest.approx(0.8, rel=1e-6)
-    tight = decay_scan(g, sites, 0.9, 2.0)
-    assert not tight.holds
-    assert tight.worst_pair is not None
+    # one row per distance past 0, at its largest entry
+    assert loose.dists == tuple(range(1, 21))
+    assert loose.peaks == pytest.approx(
+        [math.exp(-0.8 * math.log1p(r) ** 2) for r in range(1, 21)],
+        rel=1e-14)
+    assert loose.bounds == tuple(math.exp(-0.7 * math.log1p(r) ** 2)
+                                 for r in range(1, 21))
+    tight = decay_scan(g, classes, 0.9, 2.0)
+    assert not tight.holds and tight.violations == 20
+    assert tight.worst_dist == 20
     assert tight.max_log_excess > 0
 
 
 def test_decay_scan_threshold_exempts_core():
     sites = np.arange(-4, 5)[:, None].astype(float)
     g = np.ones((9, 9))
-    rep = decay_scan(g, sites, 1.0, 2.0, threshold=8.0)
-    assert rep.n_pairs == 0 and rep.holds
+    rep = decay_scan(g, sup_distance_classes(sites), 1.0, 2.0, threshold=8.0)
+    assert rep.dists == () and rep.holds

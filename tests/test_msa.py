@@ -1124,15 +1124,21 @@ def test_check_good_carry_clause(planted_run):
 
 
 def test_check_good_scale_zero_avoids_resonances(planted_run):
-    assert not check_good(planted_run, [[2], [3], [4]], 0).good
-    assert check_good(planted_run, [[10], [11]], 0).good
+    # a flat list in d = 1 is a column of sites
+    for bad, good in (([[2], [3], [4]], [[10], [11]]),
+                      ([2, 3, 4], [10, 11])):
+        assert not check_good(planted_run, bad, 0).good
+        assert check_good(planted_run, good, 0).good
+    with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
+        check_good(planted_run, [[10, 11]], 0)
 
 
 def test_verify_good_set_estimates(planted_run):
     est = verify_good_set(planted_run, np.arange(10, 21)[:, None], 0)
     assert est.passed and est.norm_ok
-    assert est.log_norm <= est.log_bound
+    assert math.log(est.norm) <= est.log_bound
     assert est.decay.violations == 0
+    assert verify_good_set(planted_run, np.arange(10, 21), 0) == est
     with pytest.raises(PreconditionViolated):
         verify_good_set(planted_run, [[2], [3], [4]], 0)
 
