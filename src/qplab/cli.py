@@ -79,6 +79,7 @@ import scipy
 
 from . import __version__
 from .dynamics import (
+    EDGE_MASS_GATE,
     EvolutionData,
     ceiling_onset,
     evolve_amplitudes,
@@ -658,10 +659,16 @@ def _run_dynamics(cfg: ExperimentConfig, memo, point: dict) -> PointResult:
     for t in cfg.times:
         mv = moment(ev, float(t), p)
         bound = moment_ceiling(t, p, rho_prime) if t > 1 else float("inf")
-        gated = t >= t0 and mv.boundary_mass < 1e-6
+        gated = t >= t0 and mv.boundary_mass < EDGE_MASS_GATE
         ok = (not gated) or mv.value <= bound
         table.rows.append((float(t), mv.value, bound, mv.boundary_mass,
                            gated, ok))
+    if not any(row[4] for row in table.rows):
+        early = sum(t < t0 for t in cfg.times)
+        return PointResult(
+            "skip", f"no row gated: {early} of {len(table.rows)} times "
+            f"before T_0 = {t0:.6g}, {len(table.rows) - early} with "
+            f"outer-layer mass >= {EDGE_MASS_GATE:g}", {"dynamics": table})
     return _gated("dynamics", table)
 
 

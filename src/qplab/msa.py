@@ -372,8 +372,6 @@ class BlockFamily:
     """The three nested block levels around every center of one scale."""
 
     s: int
-    case: int
-    offset2: tuple
     centers2: np.ndarray
     resonant: dict
     doubled: dict
@@ -382,10 +380,8 @@ class BlockFamily:
     radii: tuple
     declared_pad: int
     realized_pad: int
-    zeta: int
     zeta_tilde: int
     template2: np.ndarray
-    core_template2: np.ndarray
 
     def center_keys(self) -> list:
         return [tuple(int(v) for v in row) for row in self.centers2]
@@ -401,7 +397,9 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     block it touches, and is then forced to a center-independent,
     origin-symmetric template (in the frame translated by its center).
     Absorption and templating loop to a joint fixed point.  Separation of
-    enlarged blocks by ten diameters is a hard requirement.
+    enlarged blocks by ten diameters is a hard requirement.  ``offset2`` is
+    not read; it stays in the signature for positional callers
+    (``perfbench/workloads.py``).
     """
     p2 = np.atleast_2d(np.asarray(p2, dtype=np.int64))
     if p2.shape[0] == 0:
@@ -477,11 +475,9 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     if not symmetric_about_origin(core_template):
         raise PreconditionViolated("core template is not origin-symmetric")
 
-    return BlockFamily(s, case, tuple(int(v) for v in offset2), p2,
-                       res_b, dbl_b, enl_b, core_arrays,
-                       (r_res, r_dbl, r_enl), budget,
-                       max(realized_pad, 0), set_diameter(res_b[keys[0]]),
-                       diam, enl_t, core_template)
+    return BlockFamily(s, p2, res_b, dbl_b, enl_b, core_arrays,
+                       (r_res, r_dbl, r_enl), budget, max(realized_pad, 0),
+                       diam, enl_t)
 
 
 @dataclass(frozen=True)
@@ -1123,7 +1119,7 @@ def check_good(run: MsaRun, sites, s: int) -> GoodSetReport:
     """
     if s > run.depth:
         raise ValueError(f"run only reaches scale {run.depth}")
-    lam = as_sites(np.asarray(sites, dtype=np.int64), run.model.dim)
+    lam = as_sites(sites, run.model.dim)
     failures = []
 
     def enlarged_tile(scale: int, key: tuple) -> np.ndarray:
@@ -1178,8 +1174,10 @@ def _log_phase_factor(run: MsaRun, s: int, lam: np.ndarray) -> float:
 def scale0_bounds(model: ModelSpec, schedule: ScaleSchedule) -> tuple:
     """``(norm bound, decay)`` of the estimate on 0-good sets: the Morse
     floor ``||G|| <= 2 kappa1^-1 delta_0^-2`` and ``decay = (alpha_0, 0)``,
-    rate ``alpha_0 = (3/4) alpha`` at every distance past 0."""
-    return (2.0 / (model.potential.kappa1 * schedule.delta(0) ** 2),
+    rate ``alpha_0 = (3/4) alpha`` at every distance past 0.  The norm
+    bound is ``inf`` where ``kappa1 delta_0^2`` underflows to 0."""
+    floor = model.potential.kappa1 * schedule.delta(0) ** 2
+    return (2.0 / floor if floor > 0.0 else math.inf,
             (schedule.alpha_seq[0], 0.0))
 
 
@@ -1218,7 +1216,7 @@ def verify_good_set(run: MsaRun, sites, s: int) -> EstimateReport:
     if not report.good:
         raise PreconditionViolated(
             f"set is not {s}-good: first failure {report.failures[0]}")
-    sites_arr = as_sites(np.asarray(sites, dtype=np.int64), run.model.dim)
+    sites_arr = as_sites(sites, run.model.dim)
     sched = run.schedule
     if s == 0:
         norm_bound, decay = scale0_bounds(run.model, sched)

@@ -484,7 +484,7 @@ def test_criterion_07_moment_green_bound(cosine_potential, saturating_kernel,
         ev = evolve_amplitudes(model, win, complex(theta))
         horizon = float(rng.choice([1.0, 10.0, 100.0]))
         mode = "fixed" if i % 2 == 0 else "avg"
-        targets = [float(rng.uniform(1.0, radius))]
+        targets = [int(rng.uniform(1.0, radius))]
         rep = green_moment_bound(model, ev, horizon, targets, mode=mode)
         seen.add((horizon, mode))
         if not rep.holds:

@@ -101,3 +101,18 @@ def test_tracer_lu_modules_and_result_fields_exist():
         assert hasattr(cls, attr), f"{cls.__name__}.{attr}"
     fields = {f.name for f in dataclasses.fields(qplab.ThetaStep)}
     assert {"roots", "newton_iters"} <= fields
+
+
+def test_block_family_attributes_exist():
+    """The blocks workload reads these off ``construct_blocks``'s families,
+    which it names ``fam``, ``fam1`` and ``fam2``."""
+    read = {node.attr for node in ast.walk(_tree("workloads.py"))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("fam", "fam1", "fam2")}
+    assert {"centers2", "cores", "enlarged", "radii", "realized_pad",
+            "template2", "center_keys"} <= read
+    fields = {f.name for f in dataclasses.fields(qplab.BlockFamily)}
+    for attr in read:
+        assert attr in fields or callable(
+            getattr(qplab.BlockFamily, attr, None)), f"BlockFamily.{attr}"

@@ -59,6 +59,9 @@ def make_raw(kind, sweep, model=None, schedule=None):
 
 
 GREEN_PASS = {"radius": 8, "theta": [0.0], "energy": [0.3]}
+# delta0 = 0.2 starts the moment ceiling at T_0 = 125 (0.02, the default,
+# at 125,000), so a dynamics time of 200 is gated
+GATING_SCHEDULE = {"delta0": 0.2}
 # two phases, each 0-good at both energies: four solved points
 GREEN_SHARED = {"radius": 8, "theta": [0.0, 0.38], "energy": [0.3, 0.4]}
 
@@ -487,8 +490,8 @@ def test_real_restrictions_never_reach_complex_lapack(dense_calls):
     assert [e["status"] for e in run(parse_config(make_raw(
         "green", GREEN_PASS))).summary] == ["pass"]
     assert [e["status"] for e in run(parse_config(make_raw(
-        "dynamics", {"radius": 8, "theta": [0.1],
-                     "times": [2.0]}))).summary] == ["pass"]
+        "dynamics", {"radius": 8, "theta": [0.1], "times": [200.0]},
+        schedule=GATING_SCHEDULE))).summary] == ["pass"]
     model = parse_config(make_raw("green", GREEN_PASS)).model
     box = box_around(np.zeros(1), 8)
     rest = assemble_restriction(model, box, 0.113, 0.0)
@@ -584,6 +587,56 @@ def test_green_sweep_table_is_the_good_set_estimate():
         assert table.rows[0][2] == pytest.approx(math.exp(est.log_bound))
         assert table.rows[1:] == list(zip(fit.dists, fit.peaks, fit.bounds,
                                           fit.ok))
+
+
+def test_scale0_bound_is_infinite_once_delta0_squared_underflows():
+    cfgs = [parse_config(make_raw("green", GREEN_PASS,
+                                  schedule={"delta0": delta0}))
+            for delta0 in (1e-100, 1e-200)]
+    normal, tiny = (scale0_bounds(c.model, c.schedule)[0] for c in cfgs)
+    # delta0^2 = 1e-200 is a normal float: the formula's own bits
+    assert normal == 2.0 / (cfgs[0].model.potential.kappa1
+                            * cfgs[0].schedule.delta(0) ** 2)
+    assert tiny == math.inf
+
+
+@pytest.mark.parametrize("kind, sweep, status", [
+    ("green", GREEN_PASS, "pass"),
+    ("dynamics", {"radius": 8, "theta": [0.1], "times": [2.0, 200.0]},
+     "skip"),
+])
+def test_tiny_delta0_completes(tmp_path, kind, sweep, status):
+    """delta0 = 1e-200 puts 2/(kappa1 delta0^2) and T_0 = delta0^-3 past
+    the float range: the green norm bound and the onset are inf, so a green
+    point gates its decay only and a dynamics point gates no row."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_raw(kind, sweep,
+                                            schedule={"delta0": 1e-200})))
+    assert main([kind, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [e["status"] for e in summary] == [status]
+    rows = (tmp_path / "out" / f"{kind}_000.csv").read_text().splitlines()
+    if kind == "green":
+        assert rows[1].split(",")[2:] == ["inf", "true"]
+    else:
+        assert summary[0]["detail"].startswith(
+            "no row gated: 2 of 2 times before T_0 = inf")
+
+
+def test_dynamics_point_with_no_gated_row_is_a_skip():
+    """At eps = 0.5 on a radius-4 window every time from T_0 = 125 on has
+    outer-layer mass 1e-3 to 1e-2, so no row is gated."""
+    raw = make_raw("dynamics", {"radius": 4, "theta": [0.1],
+                                "times": [125.0, 250.0, 500.0, 1000.0]},
+                   model={"eps": 0.5, "eps0": 1.0}, schedule=GATING_SCHEDULE)
+    bundle = run(parse_config(raw))
+    assert [(e["status"], e["detail"]) for e in bundle.summary] == [
+        ("skip", "no row gated: 0 of 4 times before T_0 = 125, 4 with "
+                 "outer-layer mass >= 1e-06")]
+    assert exit_code(bundle) == 0
+    rows = bundle.artifacts["dynamics_000"].rows
+    assert all(row[3] >= 1e-6 and not row[4] for row in rows)
 
 
 @pytest.mark.parametrize("owner, name, n_calls", [
@@ -796,7 +849,8 @@ def test_msa_sweep_race_costs_a_track_not_a_byte(tmp_path, monkeypatch):
 
 def test_dynamics_sweep_shares_eigendecompositions(tmp_path):
     raw = make_raw("dynamics", {"radius": 16, "theta": [0.1, 0.3],
-                                "times": [2.0, 5.0]})
+                                "times": [2.0, 200.0]},
+                   schedule=GATING_SCHEDULE)
     bundle = run(parse_config(raw))
     assert [e["status"] for e in bundle.summary] == ["pass", "pass"]
     # one stored eigendecomposition per phase serves all of its times
@@ -811,8 +865,9 @@ def test_dynamics_sweep_averaged_moments():
     sweep = {"radius": 8, "theta": [0.1], "times": [200.0]}
     moments = {}
     for averaged in (False, True):
-        bundle = run(parse_config(make_raw("dynamics",
-                                           dict(sweep, averaged=averaged))))
+        bundle = run(parse_config(make_raw(
+            "dynamics", dict(sweep, averaged=averaged),
+            schedule=GATING_SCHEDULE)))
         assert [e["status"] for e in bundle.summary] == ["pass"]
         (row,) = bundle.artifacts["dynamics_000"].rows
         moments[averaged] = row[1]
@@ -930,10 +985,9 @@ GATED_KINDS = {
     "green": (lambda: make_raw("green", GREEN_PASS), _one_failing_green_row,
               17),
     "msa": (_one_climber_msa_raw, _one_failing_msa_row, 2),
-    # delta0 = 0.2 starts the ceiling at t = 125, so t = 200 is gated
     "dynamics": (lambda: make_raw("dynamics", {"radius": 8, "theta": [0.1],
                                                "times": [2.0, 200.0]},
-                                  schedule={"delta0": 0.2}),
+                                  schedule=GATING_SCHEDULE),
                  _one_failing_dynamics_row, 2),
     "verify-lemmas": (default_config, _one_failing_verify_row, 6),
 }

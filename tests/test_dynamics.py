@@ -21,6 +21,7 @@ from qplab import (
 from qplab.dynamics import (
     amplitudes,
     arithmetic_phase_test,
+    ceiling_onset,
     evolve_amplitudes,
     green_moment_bound,
     localization_profile,
@@ -287,6 +288,9 @@ def test_green_moment_bound_guards(weak_model, weak_ev16, cosine_potential,
                            mode="sideways")
     with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
         green_moment_bound(weak_model, weak_ev16, 10.0, [[3, 7]])
+    # a non-integer site is refused, not truncated to 3
+    with pytest.raises(ValueError, match="must be integers"):
+        green_moment_bound(weak_model, weak_ev16, 10.0, [[3.7]])
     loud = ModelSpec(cosine_potential, saturating_kernel, golden_frequency,
                      1.0, eps0=1.0)
     ev = evolve_amplitudes(loud, box_around(np.zeros(1), 16), 0.3)
@@ -309,6 +313,29 @@ def test_moment_ceiling_holds(weak_ev32):
 def test_moment_ceiling_rejects_early_times(weak_ev32):
     with pytest.raises(PreconditionViolated):
         moment_ceiling_check(weak_ev32, 2.0, 1.5, 0.2, 0.05, [100.0])
+
+
+def test_moment_ceiling_needs_a_small_outer_layer(cosine_potential,
+                                                  saturating_kernel,
+                                                  golden_frequency):
+    """At eps = 0.5 on a radius-4 window the outer layer holds 1e-3 to 1e-2
+    of the mass: every moment is under its ceiling, but the window caps
+    it, so the check does not hold."""
+    model = ModelSpec(cosine_potential, saturating_kernel, golden_frequency,
+                      0.5, eps0=1.0)
+    ev = evolve_amplitudes(model, box_around(np.zeros(1), 4), 0.1)
+    rep = moment_ceiling_check(ev, 2.0, 1.5, 0.2, 0.05,
+                               np.geomspace(125.0, 1000.0, 4))
+    assert np.all(rep.values <= rep.bounds)
+    assert rep.boundary_mass_max > 1e-3
+    assert not rep.holds
+
+
+def test_ceiling_onset_past_the_float_range():
+    assert ceiling_onset(0.2, 0.05) == 0.2 ** -3.0
+    # delta0^-3 = 1e330 overflows, though delta0^2 = 1e-220 is normal
+    assert ceiling_onset(1e-110, 0.05) == math.inf
+    assert ceiling_onset(1e-200, 0.05) == math.inf
 
 
 def test_localization_profile_recovers_hopping_rate(weak_ev16):
@@ -406,6 +433,8 @@ def test_offaxis_checks_targets_before_assembly(offaxis_run, monkeypatch):
         offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[500]])
     with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
         offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170, 185]])
+    with pytest.raises(ValueError, match="must be integers"):
+        offaxis_green_decay(offaxis_run, 1, 0.3, 2000.0, [[170], [3.7]])
     for t in (0.0, -1.0):
         with pytest.raises(BracketViolated, match=f"t = {t:g} "):
             offaxis_green_decay(offaxis_run, 1, 0.3, t, [[170]])

@@ -94,10 +94,10 @@ def test_green_solve_norm_is_certified(kind, n, seed, shift):
 
 
 def test_green_solve_refuses_large_residual_bound(monkeypatch):
-    """An inverse off by 0.6 in one entry passes the Frobenius gate of an
-    ill-conditioned T, but its residual bound is not below 1/2: the LDL^T
-    inverse (``sytri``) of a symmetric T and the LU inverse (``getri``) of
-    a non-symmetric one."""
+    """An inverse off by 0.6 in one entry has a Frobenius residual below
+    1e-8 ||T||_F ||G||_F for an ill-conditioned T, but its residual bound
+    is not below 1/2: the LDL^T inverse (``sytri``) of a symmetric T and
+    the LU inverse (``getri``) of a non-symmetric one."""
     real = qplab.greens.get_lapack_funcs
     for t, spoil in ((np.diag([1.0, 1e-10]), "sytri"),
                      (np.array([[1.0, 0.0], [1e-3, 1e-10]]), "getri")):
@@ -127,8 +127,7 @@ def test_green_solve_inverts():
     t = _random_complex(rng, 8) + 6.0 * np.eye(8)
     g = green_solve(t)
     np.testing.assert_allclose(g.matrix, np.linalg.inv(t), atol=1e-12)
-    assert g.residual < 1e-12
-    assert g.pivot_min > 0
+    assert g.op_norm >= 1.0 / np.linalg.svd(t, compute_uv=False)[-1]
 
 
 @pytest.mark.parametrize("t", [
@@ -139,25 +138,45 @@ def test_green_solve_inverts():
 ], ids=["swap", "indefinite"])
 def test_green_solve_inverts_through_2x2_pivots(t):
     """A small diagonal entry is where Bunch-Kaufman chooses a 2 x 2 block
-    of D; the pivot gate reads that block's smallest singular value, so an
-    orthogonal or well-conditioned indefinite T inverts."""
+    of D; an orthogonal or well-conditioned indefinite T inverts, and its
+    residual bound certifies the norm."""
     _, piv, _ = scipy.linalg.lapack.dsytrf(t)
     assert np.any(piv < 0)
     g = green_solve(t)
     np.testing.assert_allclose(g.matrix, np.linalg.inv(t), atol=1e-14)
     assert np.array_equal(g.matrix, g.matrix.T)
-    assert g.pivot_min > 0.1
     assert g.op_norm >= 1.0 / np.linalg.svd(t, compute_uv=False)[-1]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_green_solve_refuses_singular():
-    with pytest.raises(Singular):
-        green_solve(np.zeros((3, 3)))
-    with pytest.raises(Singular):
-        green_solve(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(Singular):
-        green_solve(np.empty((0, 0)))
+    """Besides bad input, only LAPACK's exact zero and the residual bound
+    refuse a matrix, and no floating-point warning is raised on the way."""
+    near_one = 1.0 - 2.0 ** -52
+    for t, match in [
+        (np.zeros((3, 3)), "zero or non-finite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "zero or non-finite"),
+        (np.empty((0, 0)), "empty"),
+        # an exact zero in D (LDL^T) and in U (LU), reported by LAPACK's info
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), "exactly zero"),
+        (np.array([[1.0, 2.0], [1.0, 2.0]]), "exactly zero"),
+        # 1/1e-320 overflows, so G holds an inf and the bound is NaN
+        (np.diag([1.0, 1e-320]), "residual bound nan"),
+        (np.diag([1.0, 1e-320]) + 0j, "residual bound nan"),
+        # G is finite, but a column sum of |G| overflows
+        (2.3e-293 * np.array([[1.0, near_one], [near_one, 1.0]]),
+         "residual bound inf"),
+    ]:
+        with pytest.raises(Singular, match=match):
+            green_solve(t)
+
+
+def test_green_solve_has_no_pivot_gate():
+    """A pivot 1e-15 times the largest entry does not refuse T: the
+    residual bound, gamma ||T|| ||G|| = 0.22 here, is below 1/2, so
+    ``op_norm`` certifies ``||T^{-1}||_2 = 1e15`` within a factor 2."""
+    g = green_solve(np.diag([1.0, 1e-15]))
+    assert 1e15 <= g.op_norm <= 2e15
 
 
 # ---------------------------------------------------------------------------

@@ -1131,6 +1131,9 @@ def test_check_good_scale_zero_avoids_resonances(planted_run):
         assert check_good(planted_run, good, 0).good
     with pytest.raises(PreconditionViolated, match="width 2.*dimension is 1"):
         check_good(planted_run, [[10, 11]], 0)
+    # a non-integer site is refused, not truncated to 3
+    with pytest.raises(ValueError, match="must be integers"):
+        check_good(planted_run, [[3.7]], 0)
 
 
 def test_verify_good_set_estimates(planted_run):
@@ -1141,6 +1144,8 @@ def test_verify_good_set_estimates(planted_run):
     assert verify_good_set(planted_run, np.arange(10, 21), 0) == est
     with pytest.raises(PreconditionViolated):
         verify_good_set(planted_run, [[2], [3], [4]], 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        verify_good_set(planted_run, [[10], [11], [3.7]], 0)
 
 
 def test_verify_block_modes(planted_run):
