@@ -23,8 +23,8 @@ Config layout, JSON with flat sections::
       },
       "schedule": {
         "mode": "desk", "rho_prime": 1.5, "s_max": 1,
-        "delta0": 0.02, "n0": 8, "g_delta": 3.0, "g_n": 1.5
-      },
+        "delta0": 0.2, "n0": 8, "g_delta": 3.0, "g_n": 1.5
+      },                         # delta0^-3 = 125 = T_0, the first time
       "sweep": {
         "radius": 32,
         "theta":  [0.113],       # list, {"start","stop","count","log"?},

@@ -7,11 +7,13 @@ membership is exact integer arithmetic; a site ``k`` belongs to the box iff
 
 A site set has one representation: the canonical ``(n, d)`` int64 array
 returned by ``canonical_sites``, rows deduplicated and in lexicographic
-order.  Every set operation lives here and works on that form.  A call
-encodes its sets once, as row-major int64 keys on one joint bounding box
-(``_Frame``), and tests membership by ``searchsorted`` on the sorted side;
-a box too large for int64 keys each axis by the ranks of its coordinates.
-The helpers are unit-agnostic: they work equally on plain sites and on
+order.  Every set operation lives here and works on that form.  A primitive
+encodes its sets once per call, as row-major int64 keys on one joint
+bounding box (``_Frame``), and tests membership by ``searchsorted`` on the
+sorted side; a box too large for int64 keys each axis by the ranks of its
+coordinates.  The block layer in ``qplab.msa`` keys once per block
+construction or check instead, and works on sorted keys throughout.  The
+helpers are unit-agnostic: they work equally on plain sites and on
 doubled half-lattice coordinates, as long as both arguments use the same
 convention.
 
@@ -25,6 +27,7 @@ intersection clause through a separate witness, ``_Tiles.first_cut``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,12 +102,6 @@ class LatticeBox:
             return 0
         return max(hi - lo for lo, hi in self.axis_ranges)
 
-    def contains_sites(self, sites) -> np.ndarray:
-        """Vectorized membership test for an (n, d) integer array."""
-        sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
-        c2 = np.asarray(self.center2, dtype=np.int64)
-        return np.max(np.abs(2 * sites - c2), axis=1) <= self.reach2
-
 
 def box_around(center, radius, *, site_cap: int = DEFAULT_SITE_CAP) -> LatticeBox:
     """Construct the sup-norm box of the given radius around ``center``.
@@ -151,7 +148,9 @@ class _Frame:
 
     Keys order like the rows do lexicographically, so sorting keys sorts
     sites.  A box of 2**63 cells or more is compressed on each axis to the
-    ranks of the coordinates the rows hold there, which keeps that order.
+    ranks of the coordinates the rows hold there, which keeps that order;
+    on an uncompressed one (``axes`` None, ``size`` cells) keys are affine
+    in the coordinates.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -164,6 +163,7 @@ class _Frame:
             shape = [a.size for a in self.axes]
             if math.prod(shape) >= 2 ** 63:
                 raise SizeOverflow("site set too wide and sparse to key")
+        self.size = math.prod(shape)
         self.shape = np.asarray(shape)
         self.strides = np.asarray([math.prod(shape[i + 1:])
                                    for i in range(len(shape))])
@@ -185,12 +185,19 @@ class _Frame:
 
     def split(self, rows: np.ndarray):
         """(keys of the rows that lie in the frame, the other rows)."""
-        idx = np.clip(self._index(rows), 0, self.shape - 1)
+        idx = np.minimum(np.maximum(self._index(rows), 0), self.shape - 1)
         inside = (self._coords(idx) == rows).all(axis=1)
         return idx[inside] @ self.strides, rows[~inside]
 
     def sites(self, keys: np.ndarray) -> np.ndarray:
         return self._coords(keys[:, None] // self.strides % self.shape)
+
+    def box_keys(self, box: LatticeBox) -> np.ndarray:
+        """Sorted keys of the sites of ``box``, which the frame holds."""
+        return functools.reduce(np.add.outer, [
+            (np.arange(lo, hi + 1) - l) * st for (lo, hi), l, st in zip(
+                box.axis_ranges, self.lo.tolist(), self.strides.tolist())
+        ]).ravel()
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -569,24 +576,50 @@ class _Tiles:
     the abstract, which does not state the absorption rules.
     """
 
-    def __init__(self, tiles: Sequence, triggers: Sequence | None = None):
+    def __init__(self, tiles: Sequence, triggers: Sequence | None = None,
+                 frame: _Frame | None = None, lanes=(0,)):
+        # a given frame holds every tile and trigger row.  lanes[i] shifts
+        # the keys of copy i of the tiles, whose tile j is tile
+        # i * len(tiles) + j, so that ``close`` and ``first_cut_keys`` treat
+        # sets side by side in those key lanes at once
         tiles = [as_sites(t) for t in tiles]
         trigs = tiles if triggers is None else [as_sites(t) for t in triggers]
-        self.sizes = np.asarray([t.shape[0] for t in tiles], dtype=np.int64)
+        self.sizes = np.asarray([t.shape[0] for t in tiles] * len(lanes))
         rows = [t for t in tiles + trigs if t.shape[0]]
-        self.frame = _Frame(np.concatenate(rows)) if rows else None
-        if rows:
-            self.keys, self.owner = self._stack(tiles)
-            self.trig_keys, self.trig_owner = self._stack(trigs)
+        if frame is None and rows:
+            frame = _Frame(np.concatenate(rows))
+        self.frame, lanes = frame, np.asarray(lanes)
+        self.keys, self.owner = self._stack(tiles, lanes)
+        self.trig_keys, self.trig_owner = ((self.keys, self.owner)
+                                           if triggers is None
+                                           else self._stack(trigs, lanes))
 
-    def _stack(self, arrays: list):
+    def _stack(self, arrays: list, lanes: np.ndarray):
         sizes = [a.shape[0] for a in arrays]
-        return (self.frame.keys(np.concatenate(arrays)),
-                np.repeat(np.arange(len(arrays)), sizes))
+        keys = (self.frame.keys(np.concatenate(arrays)) if sum(sizes)
+                else np.empty(0, dtype=np.int64))
+        owner = np.repeat(np.arange(len(arrays)), sizes)
+        return ((keys + lanes[:, None]).ravel(),
+                (owner + len(arrays) * np.arange(lanes.size)[:, None]).ravel())
 
     def absorb(self, sites):
         """Least superset of ``sites`` that holds every tile whose trigger
-        meets it.
+        meets it: ``close`` on the keys of the rows inside the frame, while
+        the rows outside, which meet no trigger, pass through.  Returns the
+        closed canonical set and what ``close`` returns besides."""
+        seed = as_sites(sites)
+        if self.trig_keys.size == 0 or seed.shape[0] == 0:
+            return canonical_sites(seed), [], 1
+        current, outside = self.frame.split(seed)
+        current, taken, rounds = self.close(_distinct(current))
+        closed = self.frame.sites(current)
+        return (canonical_sites(np.concatenate([closed, outside]))
+                if outside.shape[0] else closed), taken, rounds
+
+    def close(self, current: np.ndarray, free: np.ndarray | None = None):
+        """The fixpoint of ``absorb`` on sorted distinct keys; ``free``
+        masks the tiles to test and is updated in place, so a caller whose
+        set only grows may pass it again to skip the tiles already taken.
 
         A round tests every tile not yet taken against the set as it stood
         when the round began, so the closure does not depend on the order of
@@ -594,19 +627,20 @@ class _Tiles:
         Every round but the last takes a tile, so the fixpoint is reached
         within ``len(tiles) + 1`` rounds.
 
-        Returns the closed canonical set, the indices of the taken tiles in
-        the order taken, and the number of rounds including the last, which
-        adds no site.
+        Returns the closed keys, the indices of the taken tiles in the order
+        taken, and the number of rounds including the last, which adds no
+        site.
         """
-        seed = as_sites(sites)
-        if self.frame is None or seed.shape[0] == 0:
-            return canonical_sites(seed), [], 1
-        current, outside = self.frame.split(seed)
-        current, taken = _distinct(current), []
-        free = np.ones(self.sizes.size, dtype=bool)
+        taken = []
+        if self.trig_keys.size == 0:
+            return current, taken, 1
+        if free is None:
+            free = np.ones(self.sizes.size, dtype=bool)
         for rounds in range(1, self.sizes.size + 2):
             hit = free & (np.bincount(self.trig_owner[_member(
                 self.trig_keys, current)], minlength=free.size) > 0)
+            if not hit.any():
+                break
             free &= ~hit
             taken += np.flatnonzero(hit).tolist()
             grown = _distinct(np.concatenate([current,
@@ -614,21 +648,25 @@ class _Tiles:
             if grown.size == current.size:
                 break
             current = grown
-        closed = self.frame.sites(current)
-        return (canonical_sites(np.concatenate([closed, outside]))
-                if outside.shape[0] else closed), taken, rounds
+        return current, taken, rounds
 
     def first_cut(self, sites) -> int | None:
         """Index of the first tile that meets ``sites`` without lying inside
         it, or None: the closure witness, which shares the keys of
-        ``absorb`` but not its fixpoint loop.  One membership pass counts
-        the rows of each tile in the set: the tile meets the set when its
-        count is positive and lies inside when the count is its row count."""
+        ``absorb`` but not its fixpoint loop."""
         arr = as_sites(sites)
-        if self.frame is None or arr.shape[0] == 0:
+        if self.keys.size == 0 or arr.shape[0] == 0:
             return None
-        inside = np.sort(self.frame.split(arr)[0])
-        held = np.bincount(self.owner[_member(self.keys, inside)],
+        return self.first_cut_keys(np.sort(self.frame.split(arr)[0]))
+
+    def first_cut_keys(self, table: np.ndarray) -> int | None:
+        """``first_cut`` of the set of the sorted keys ``table``.  One
+        membership pass counts the rows of each tile in the set: the tile
+        meets the set when its count is positive and lies inside when the
+        count is its row count."""
+        if self.keys.size == 0:
+            return None
+        held = np.bincount(self.owner[_member(self.keys, table)],
                            minlength=self.sizes.size)
         cut = np.flatnonzero((held > 0) & (held < self.sizes))
         return int(cut[0]) if cut.size else None

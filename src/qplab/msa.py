@@ -18,10 +18,10 @@ remains available for schedule arithmetic itself.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
@@ -35,12 +35,16 @@ from .errors import (
     PreconditionViolated,
     ScheduleOverflow,
     SeparationViolated,
+    SizeOverflow,
     WindingMismatch,
     WindowTooSmall,
 )
 from .greens import DecayFit, decay_scan, green_solve
 from .lattice import (
     LatticeBox,
+    _distinct,
+    _Frame,
+    _member,
     _Tiles,
     as_sites,
     canonical_sites,
@@ -387,6 +391,22 @@ class BlockFamily:
         return [tuple(int(v) for v in row) for row in self.centers2]
 
 
+def _block_frame(parts: list, centers2: np.ndarray, lanes: int) -> tuple:
+    """``(frame, step, shifts, flip)``: ``step`` moves the first center to
+    each center, ``shifts`` on keys, and key ``k`` mirrors about the first
+    center to ``flip - k``; these maps are exact on the ``parts``, which the
+    frame holds with their images, and ``lanes`` copies of it fit int64."""
+    rows = np.concatenate(parts)
+    lo, hi, c0 = rows.min(axis=0), rows.max(axis=0), centers2[0]
+    step = (centers2 - c0) // 2
+    frame = _Frame(np.concatenate([lo - step, hi - step, c0 - hi + step,
+                                   c0 - lo + step]))
+    if frame.axes is not None or lanes * frame.size >= 2 ** 63:
+        raise SizeOverflow("block sites span too wide a box to key")
+    return (frame, step, step @ frame.strides,
+            int((c0 - 2 * frame.lo) @ frame.strides))
+
+
 def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
                      offset2, schedule: ScaleSchedule,
                      lower: Sequence["BlockFamily"], window: LatticeBox
@@ -400,84 +420,102 @@ def construct_blocks(p2: np.ndarray, cores: Mapping, s: int, case: int,
     enlarged blocks by ten diameters is a hard requirement.  ``offset2`` is
     not read; it stays in the signature for positional callers
     (``perfbench/workloads.py``).
+
+    The centers share their parity, so every block is the first center's
+    translated.  The sites are keyed once (``_block_frame``); key lane c
+    closes the block under the lower tiles as seen from center c, and only
+    the arrays that ``BlockFamily`` stores are decoded.
     """
     p2 = np.atleast_2d(np.asarray(p2, dtype=np.int64))
     if p2.shape[0] == 0:
         raise PreconditionViolated("cannot build blocks for an empty P_s")
-    r_res, r_dbl, r_enl = schedule.radii(s, case)
-    # every lower-scale enlarged block, keyed once for the whole call
-    lower_tiles = _Tiles([fam.enlarged[key] for fam in lower
-                          for key in fam.center_keys()])
-    keys = [tuple(int(v) for v in row) for row in p2]
+    if ((p2 - p2[0]) % 2).any():
+        raise PreconditionViolated("centers of one scale differ in parity")
+    radii = schedule.radii(s, case)
+    keys, c0 = [tuple(row) for row in p2.tolist()], p2[0]
+    win, reach = np.asarray(window.axis_ranges).T, math.floor(2 * radii[2])
+    tiles = [as_sites(fam.enlarged[key]) for fam in lower
+             for key in fam.center_keys()]
+    frame, step, shifts, flip = _block_frame(
+        [win, -((reach - p2) // 2), (p2 + reach) // 2, *tiles], p2, len(p2))
+    lane = np.arange(len(p2))[:, None] * frame.size
+    lower_tiles = _Tiles(tiles, frame=frame, lanes=lane.ravel() - shifts)
 
-    levels = {}
-    for name, radius in (("resonant", r_res), ("doubled", r_dbl),
-                         ("enlarged", r_enl)):
-        blocks = {key: LatticeBox(key, float(radius)).sites for key in keys}
-        # a round only grows the blocks, and the window bounds them
-        while True:
-            grown = [2 * lower_tiles.absorb(blk)[0] - np.asarray(key)
-                     for key, blk in blocks.items()]
-            template = set_union(*grown, *(-g for g in grown))
-            uni = {key: (template + np.asarray(key)) // 2 for key in keys}
-            for key, blk in uni.items():
-                if not window.contains_sites(blk).all():
-                    raise WindowTooSmall(
-                        f"block around {tuple(c / 2 for c in key)} "
-                        "escapes the working window; enlarge it")
-            changed = any(not np.array_equal(uni[key], blocks[key])
-                          for key in keys)
-            blocks = uni
-            if not changed:
+    levels = []
+    for radius in radii:
+        block = frame.box_keys(LatticeBox(keys[0], float(radius)))
+        free = np.ones(lower_tiles.sizes.size, dtype=bool)
+        # a round only grows the block, and the window bounds it
+        for rounds in itertools.count():
+            closed = lower_tiles.close((block + lane).ravel(), free)[0]
+            grew = closed.size > block.size * len(p2)
+            if grew:
+                closed %= frame.size
+                block = _distinct(np.concatenate([closed, flip - closed]))
+            elif rounds:
                 break
-        levels[name] = (blocks, template, radius)
+            sites = frame.sites(block)
+            lo, hi = sites.min(axis=0), sites.max(axis=0)
+            out = ((lo + step < win[0]) | (hi + step > win[1])).any(axis=1)
+            if out.any():
+                raise WindowTooSmall(
+                    f"block around {tuple(c / 2 for c in keys[out.argmax()])}"
+                    " escapes the working window; enlarge it")
+            if not grew:
+                break
+        # the template 2 x - c0 of the block reaches this far from 0
+        levels.append((block, sites, int(np.maximum(2 * hi - c0,
+                                                    c0 - 2 * lo).max())))
 
-    # nesting and pad accounting: every block is its level's template
-    # translated to its center, so nesting reduces to the templates
-    realized_pad = max(int(math.ceil(np.abs(tpl).max() / 2.0)) - r
-                       for _, tpl, r in levels.values())
+    realized_pad = max(-(-extent // 2) - r
+                       for (_, _, extent), r in zip(levels, radii))
     budget = schedule.pad_budget(s)
-    (res_b, res_t, _), (dbl_b, dbl_t, _), (enl_b, enl_t, _) = (
-        levels["resonant"], levels["doubled"], levels["enlarged"])
-    if not (set_contains(dbl_t, res_t) and set_contains(enl_t, dbl_t)):
+    (res_k, res_s, _), (dbl_k, dbl_s, _), (enl_k, enl_s, _) = levels
+    if not (_member(res_k, dbl_k).all() and _member(dbl_k, enl_k).all()):
         raise PreconditionViolated(
             "block nesting failed; the pad outgrew the radius gaps")
 
-    diam = set_diameter(enl_b[keys[0]])
-    for ka, kb in combinations(keys, 2):
+    def placed(sites0: np.ndarray) -> dict:
+        return {key: sites0 + d for key, d in zip(keys, step)}
+
+    diam, enl_b = set_diameter(enl_s), placed(enl_s)
+    for (ka, da), (kb, db) in itertools.combinations(zip(keys, step), 2):
+        # translates by v of a set of diameter diam are >= |v| - diam apart
+        if np.abs(da - db).max() - diam > 10.0 * diam:
+            continue
         gap = sup_dist_sets(enl_b[ka], enl_b[kb])
         if gap <= 10.0 * diam:
             raise SeparationViolated(
                 f"enlarged blocks at {ka} and {kb} are only "
                 f"{gap:.0f} apart (diameter {diam})")
 
-    core_arrays = {}
-    core_template = None
-    for key in keys:
+    core = None
+    for key, sh in zip(keys, shifts):
         if key not in cores:
             raise PreconditionViolated(f"center {key} has no core")
-        a2 = canonical_sites(cores[key])
-        if a2.shape[0] > 2 ** s:
+        a2 = as_sites(cores[key])
+        n = len(a2) if len(a2) <= 2 ** s else len(canonical_sites(a2))
+        if n > 2 ** s:
             raise PreconditionViolated(
-                f"core at {key} has {a2.shape[0]} sites, limit {2 ** s}")
-        if np.any(a2 % 2):
+                f"core at {key} has {n} sites, limit {2 ** s}")
+        if (a2 % 2).any():
             raise PreconditionViolated("core sites must be integer sites")
-        if not set_contains(res_b[key], a2 // 2):
+        inside, outside = frame.split(a2 // 2)
+        inside = _distinct(inside)
+        if outside.size or not _member(inside, res_k + sh).all():
             raise PreconditionViolated(
                 f"core at {key} leaks outside its resonant block")
-        t2 = a2 - np.asarray(key)
-        if core_template is None:
-            core_template = t2
-        elif not np.array_equal(t2, core_template):
+        if core is None:
+            core = inside
+        elif not np.array_equal(inside - sh, core):
             raise PreconditionViolated(
                 "core layout varies across centers of one scale")
-        core_arrays[key] = a2 // 2
-    if not symmetric_about_origin(core_template):
+    if not np.array_equal(flip - core[::-1], core):
         raise PreconditionViolated("core template is not origin-symmetric")
 
-    return BlockFamily(s, p2, res_b, dbl_b, enl_b, core_arrays,
-                       (r_res, r_dbl, r_enl), budget, max(realized_pad, 0),
-                       diam, enl_t)
+    return BlockFamily(s, p2, placed(res_s), placed(dbl_s), enl_b,
+                       placed(frame.sites(core)), radii, budget,
+                       max(realized_pad, 0), diam, 2 * enl_s - c0)
 
 
 @dataclass(frozen=True)
@@ -499,12 +537,6 @@ class BlockCheckReport:
                 and self.covering_ok and self.cores_ok and self.pad_ok)
 
 
-def _same_symmetric_shape(frames: list) -> tuple:
-    """(all frames equal, the first frame is origin-symmetric)."""
-    same = all(np.array_equal(t, frames[0]) for t in frames)
-    return same, all(symmetric_about_origin(t) for t in frames[:1])
-
-
 def verify_block_family(family: BlockFamily,
                         lower: Sequence[BlockFamily],
                         prev_res: ResonanceStructure | None
@@ -514,45 +546,64 @@ def verify_block_family(family: BlockFamily,
     Absorption (touching lower enlarged blocks are swallowed at all three
     levels), ten-diameter separation, center-independent symmetric
     templates for blocks and cores, the covering of the previous resonances,
-    and the pad budget.
+    and the pad budget, all from the family's stored arrays.  They are keyed
+    once (``_block_frame``), each set in its own key lane.
     """
-    keys = family.center_keys()
-    lower_tiles = _Tiles([fam.enlarged[key] for fam in lower
-                          for key in fam.center_keys()])
-    absorption = all(
-        lower_tiles.first_cut(level[key]) is None for key in keys
-        for level in (family.resonant, family.doubled, family.enlarged))
+    keys, c2 = family.center_keys(), family.centers2
+    n = len(keys)
+    # each previous resonance is covered by its tile, or by its site if it
+    # has no tile and sits on the integer lattice
+    covering, cover = True, []
+    prev_tiles = lower[-1].enlarged if lower else {}
+    for kp2 in ([] if prev_res is None else
+                np.concatenate([prev_res.q_plus2, prev_res.q_minus2])):
+        kp = tuple(int(v) for v in kp2)
+        if kp in prev_tiles:
+            cover.append(prev_tiles[kp])
+        elif np.any(kp2 % 2):
+            covering = False
+        else:
+            cover.append(kp2[None, :] // 2)
+    sets = [level[key] for level in (family.resonant, family.doubled,
+                                     family.enlarged, family.cores)
+            for key in keys] + cover
+    tiles = [fam.enlarged[key] for fam in lower for key in fam.center_keys()]
+    frame, _, shifts, flip = _block_frame(sets + tiles, c2, len(sets))
+    lane = np.arange(len(sets)) * frame.size
+    laned = _distinct(frame.keys(np.concatenate(sets))
+                      + np.repeat(lane, [len(a) for a in sets]))
+    ends = np.searchsorted(laned, lane + frame.size).tolist()
+    coded = [laned[a:b] - off
+             for a, b, off in zip([0] + ends, ends, lane.tolist())]
+    res_k, enl_k, core_k = coded[:n], coded[2 * n:3 * n], coded[3 * n:4 * n]
 
+    absorption = _Tiles(tiles, frame=frame, lanes=lane[:3 * n]) \
+        .first_cut_keys(laned[:ends[3 * n - 1]]) is None
+    # sets are at least as far apart as their bounding boxes
+    far, box = 10.0 * family.zeta_tilde, [
+        (a.min(axis=0), a.max(axis=0)) if len(a) else None
+        for a in sets[2 * n:3 * n]]
     separation = all(
-        sup_dist_sets(family.enlarged[ka], family.enlarged[kb])
-        > 10.0 * family.zeta_tilde for ka, kb in combinations(keys, 2))
+        (p is not None and q is not None
+         and np.maximum(q[0] - p[1], p[0] - q[1]).max() > far)
+        or sup_dist_sets(sets[2 * n + i], sets[2 * n + j]) > far
+        for (i, p), (j, q) in itertools.combinations(enumerate(box), 2))
+    one_parity = not np.any((c2 - c2[0]) % 2)
 
-    translation, symmetry = _same_symmetric_shape(
-        [canonical_sites(2 * family.enlarged[key] - np.asarray(key))
-         for key in keys])
+    def same_symmetric(coded_sets: list) -> tuple:
+        """(all are the first translated, the first is symmetric)."""
+        first = coded_sets[0]
+        return (one_parity and all(np.array_equal(k - sh, first)
+                                   for k, sh in zip(coded_sets, shifts)),
+                np.array_equal(flip - first[::-1], first))
 
-    covering = True
-    if prev_res is not None:
-        prev_tiles = lower[-1].enlarged if lower else {}
-        for kp2 in prev_res.q2:
-            kp = tuple(int(v) for v in kp2)
-            if kp in prev_tiles:
-                tile = prev_tiles[kp]
-            elif np.any(kp2 % 2):
-                covering = False
-                continue
-            else:
-                tile = kp2[None, :] // 2
-            if not any(set_contains(family.resonant[k], tile) for k in keys):
-                covering = False
-
-    cores_ok = all(family.cores[key].shape[0] <= 2 ** family.s
-                   and set_contains(family.resonant[key], family.cores[key])
-                   for key in keys)
-    cores_ok = cores_ok and all(_same_symmetric_shape(
-        [canonical_sites(2 * family.cores[key] - np.asarray(key))
-         for key in keys]))
-
+    translation, symmetry = same_symmetric(enl_k)
+    covering = covering and all(any(_member(t, r).all() for r in res_k)
+                                for t in coded[4 * n:])
+    cores_ok = all(len(family.cores[key]) <= 2 ** family.s
+                   and _member(k, r).all()
+                   for key, k, r in zip(keys, core_k, res_k)) \
+        and all(same_symmetric(core_k))
     pad_ok = family.realized_pad <= family.declared_pad
     return BlockCheckReport(absorption, separation, translation, symmetry,
                             covering, cores_ok, pad_ok, family.realized_pad,

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -622,6 +623,17 @@ def test_tiny_delta0_completes(tmp_path, kind, sweep, status):
     else:
         assert summary[0]["detail"].startswith(
             "no row gated: 2 of 2 times before T_0 = inf")
+
+
+def test_documented_dynamics_example_gates_a_row():
+    """The config layout in ``qplab.cli``'s docstring, run at radius 8,
+    gates a row: its delta0 puts T_0 among its times."""
+    layout = cli.__doc__.split("flat sections::")[1].split("``parse_config")
+    raw = json.loads(re.sub(r"#[^\n]*", "", layout[0]))
+    assert raw["kind"] == "dynamics"
+    raw["sweep"]["radius"] = 8
+    bundle = run(parse_config(raw))
+    assert any(row[4] for row in bundle.artifacts["dynamics_000"].rows)
 
 
 def test_dynamics_point_with_no_gated_row_is_a_skip():

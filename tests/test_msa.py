@@ -1,16 +1,22 @@
 """Multi-scale ladder: schedules, resonances, blocks, root tracking."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import qplab.lattice
 import qplab.msa
 from qplab import (
     FrequencyVector,
     HoppingKernel,
+    LatticeBox,
     ModelSpec,
     PotentialSpec,
     advance_resonances,
@@ -280,33 +286,109 @@ def test_construct_single_block_template(toy_schedule):
     assert verify_block_family(fam, [], None).all_ok
 
 
-def test_construct_blocks_two_scale_toy(toy_schedule):
-    window = box_around(np.zeros(1), 9000)
-    l = 1
-    offs = [0, 4000]
+def _two_scale_toy(schedule, offs, l=1):
+    """The case-2 scale-1 family merging the pairs (o, o + l), the scale-2
+    family built on it, and the resonances each one must cover."""
+    window = box_around(np.zeros(1), max(offs) + 5000)
     p2_1 = np.asarray([[2 * o + l] for o in offs])
     cores1 = {(2 * o + l,): np.asarray([[2 * o], [2 * o + 2 * l]])
               for o in offs}
-    fam1 = construct_blocks(p2_1, cores1, 1, 2, (l,), toy_schedule, [],
-                            window)
-    assert fam1.radii == (22, 44, 88)
+    fam1 = construct_blocks(p2_1, cores1, 1, 2, (l,), schedule, [], window)
     q0 = np.asarray([[2 * o] for o in offs] + [[2 * (o + l)] for o in offs])
-    res0 = ResonanceStructure(0, 0.1, (0,), q0, q0[:2], q0[2:], q0[:2],
-                              q0[2:], 0.02, 0.02 ** 0.25)
-    assert verify_block_family(fam1, [], res0).all_ok
-
-    cores2 = {k: 2 * fam1.cores[k] for k in fam1.center_keys()}
-    fam2 = construct_blocks(fam1.centers2, cores2, 2, 1, (l,), toy_schedule,
+    k = len(offs)
+    res0 = ResonanceStructure(0, 0.1, (0,), q0, q0[:k], q0[k:], q0[:k],
+                              q0[k:], 0.02, 0.02 ** 0.25)
+    cores2 = {c: 2 * fam1.cores[c] for c in fam1.center_keys()}
+    fam2 = construct_blocks(fam1.centers2, cores2, 2, 1, (l,), schedule,
                             [fam1], window)
+    c2 = fam1.centers2
+    res1 = ResonanceStructure(1, 0.1, (l,), c2, c2[:1], c2[1:], c2[:1],
+                              c2[1:], 0.02 ** 3, 0.02 ** 0.75)
+    return fam1, fam2, res0, res1
+
+
+def test_construct_blocks_two_scale_toy(toy_schedule):
+    fam1, fam2, res0, res1 = _two_scale_toy(toy_schedule, [0, 4000])
+    assert fam1.radii == (22, 44, 88)
+    assert verify_block_family(fam1, [], res0).all_ok
     # the scale-2 resonant ball absorbs the radius-88 lower block it covers
     assert fam2.realized_pad == 51
     assert fam2.declared_pad == 4400
-    res1 = ResonanceStructure(1, 0.1, (l,), fam1.centers2,
-                              fam1.centers2[:1], fam1.centers2[1:],
-                              fam1.centers2[:1], fam1.centers2[1:],
-                              0.02 ** 3, 0.02 ** 0.75)
     rep = verify_block_family(fam2, [fam1], res1)
     assert rep.all_ok
+
+
+def test_verify_block_family_flags_each_defect(toy_schedule):
+    fam1, fam2, _, res1 = _two_scale_toy(toy_schedule, [0, 4000])
+    k0, k1 = fam2.center_keys()
+    fields = ("absorption_ok", "separation_ok", "translation_ok",
+              "symmetry_ok", "covering_ok", "cores_ok", "pad_ok")
+
+    def failed(family, prev=res1) -> set:
+        rep = verify_block_family(family, [fam1], prev)
+        return {f for f in fields if not getattr(rep, f)}
+
+    def edit(name, key, sites):
+        return dataclasses.replace(fam2, **{
+            name: {**getattr(fam2, name), key: np.asarray(sites)}})
+
+    enl, res = fam2.enlarged, fam2.resonant
+    assert failed(fam2) == set()
+    assert failed(edit("enlarged", k1, enl[k1] + 1)) == {"translation_ok"}
+    assert failed(dataclasses.replace(
+        fam2, enlarged={k: v[:-1] for k, v in enl.items()})) == {
+            "symmetry_ok"}
+    # the lower tile at k0, cut by the resonant block, covers nothing
+    cut = fam1.enlarged[fam1.center_keys()[0]][0]
+    kept = res[k0][(res[k0] != cut).any(axis=1)]
+    assert failed(edit("resonant", k0, kept)) == {"absorption_ok",
+                                                  "covering_ok"}
+    assert failed(edit("cores", k1, res[k1][:1])) == {"cores_ok"}
+    assert failed(edit("cores", k1, enl[k1][-1:])) == {"cores_ok"}
+    assert failed(dataclasses.replace(fam2, zeta_tilde=500)) == {
+        "separation_ok"}
+    assert failed(dataclasses.replace(fam2, realized_pad=5000)) == {
+        "pad_ok"}
+    far = np.asarray([[2 * 20000]])
+    for prev in (dataclasses.replace(res1, q_plus2=far),
+                 dataclasses.replace(res1, q_minus2=far + 1)):
+        assert failed(fam2, prev) == {"covering_ok"}
+    # a centre moved by half a site: its blocks are not translates
+    moved = (k1[0] + 1,)
+    fam_moved = dataclasses.replace(
+        fam2, centers2=np.asarray([k0, moved]),
+        **{name: {k0: getattr(fam2, name)[k0],
+                  moved: getattr(fam2, name)[k1]}
+           for name in ("resonant", "doubled", "enlarged", "cores")})
+    assert failed(fam_moved, None) == {"translation_ok", "cores_ok"}
+
+
+def _count_frames(monkeypatch) -> list:
+    """Counts the ``_Frame`` constructions, that is the encodings of a
+    site set into keys."""
+    seen = [0]
+    real = qplab.lattice._Frame.__init__
+
+    def counted(self, rows):
+        seen[0] += 1
+        real(self, rows)
+
+    monkeypatch.setattr(qplab.lattice._Frame, "__init__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("offs", [[0], [0, 4000, 8000]])
+def test_block_layer_keys_its_sites_once(toy_schedule, monkeypatch, offs):
+    # one encoding per call, whatever the number of centres or rounds
+    fam1, fam2, _, res1 = _two_scale_toy(toy_schedule, offs)
+    cores2 = {c: 2 * fam1.cores[c] for c in fam1.center_keys()}
+    window = box_around(np.zeros(1), 13000)
+    seen = _count_frames(monkeypatch)
+    construct_blocks(fam1.centers2, cores2, 2, 1, (1,), toy_schedule,
+                     [fam1], window)
+    assert seen[0] == 1
+    verify_block_family(fam2, [fam1], res1)
+    assert seen[0] == 2
 
 
 def test_construct_blocks_separation_guard(toy_schedule):
@@ -340,10 +422,11 @@ def test_construct_blocks_core_guards(toy_schedule):
 
 
 class _StandInLower:
-    """Lower family with only what ``construct_blocks`` reads of one."""
+    """Lower family with only what ``construct_blocks`` reads of one; a
+    flat tile is a column of sites in d = 1."""
 
     def __init__(self, tiles):
-        self.enlarged = {(2 * i,): np.asarray(t)[:, None]
+        self.enlarged = {(2 * i,): np.asarray(t).reshape(len(t), -1)
                          for i, t in enumerate(tiles)}
 
     def center_keys(self):
@@ -362,6 +445,142 @@ def test_construct_blocks_closes_a_long_chain(sched19, n_tiles, reach):
                            box_around(np.zeros(1), 100))
     np.testing.assert_array_equal(fam.resonant[(0,)].ravel(),
                                   np.arange(-reach, reach + 1))
+
+
+def _blocks_oracle(centers2, tiles, radii, window):
+    """Tuple-set reference of ``construct_blocks``: each level starts as
+    the ball around the first centre; a round absorbs, around every centre,
+    each lower tile that touches the block there until none is left, moves
+    the results back to the first centre, adds their mirror about it, and
+    requires the block at every centre to lie in the window; rounds repeat
+    until nothing changes.  Returns the blocks at the first centre and the
+    separation error the family must raise, or raises the window error."""
+    c0 = centers2[0]
+    steps = [tuple((a - b) // 2 for a, b in zip(c, c0)) for c in centers2]
+    win = window.axis_ranges
+    tiles = [set(map(tuple, t)) for t in tiles]
+
+    def moved(sites, step, sign=1):
+        return {tuple(x + sign * d for x, d in zip(p, step)) for p in sites}
+
+    levels = []
+    for radius in radii:
+        m = math.floor(2.0 * radius)
+        axes = [range(-((m - c) // 2), (c + m) // 2 + 1) for c in c0]
+        block = set(itertools.product(*axes))
+        while True:
+            grown = set()
+            for step in steps:
+                here = moved(block, step)
+                fresh = True
+                while fresh:
+                    fresh = False
+                    for t in tiles:
+                        if t & here and not t <= here:
+                            here |= t
+                            fresh = True
+                grown |= moved(here, step, -1)
+            grown |= {tuple(c - x for c, x in zip(c0, p)) for p in grown}
+            for c, step in zip(centers2, steps):
+                if any(not lo <= x + d <= hi for p in grown
+                       for x, d, (lo, hi) in zip(p, step, win)):
+                    raise WindowTooSmall(
+                        f"block around {tuple(v / 2 for v in c)} escapes "
+                        "the working window; enlarge it")
+            if grown == block:
+                break
+            block = grown
+        levels.append(block)
+
+    enl = np.asarray(sorted(levels[2]))
+    diam = int((enl.max(axis=0) - enl.min(axis=0)).max())
+    error = None
+    for (ca, sa), (cb, sb) in itertools.combinations(zip(centers2, steps),
+                                                     2):
+        gap = float(np.abs(enl[:, None, :] - enl[None, :, :]
+                           + np.subtract(sa, sb)).max(axis=2).min())
+        if gap <= 10.0 * diam:
+            error = (f"enlarged blocks at {ca} and {cb} are only "
+                     f"{gap:.0f} apart (diameter {diam})")
+            break
+    return levels, error
+
+
+@st.composite
+def _block_configs(draw):
+    """1-3 centres of one parity in d = 1 or 2, far apart or too close,
+    their one-site or two-site symmetric cores, 0-3 small lower tiles near
+    the edges of the starting balls, and a window that may be too small;
+    scale 1 or 2 and either case, so enlarged radii of 8 to 24."""
+    dim = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 3 - dim))
+    case = draw(st.integers(1, 2))
+    radii = [k * case * (s + 1) for k in (1, 2, 4)]
+    r_enl = radii[2]
+    parity = draw(st.tuples(*[st.integers(0, 1)] * dim))
+    centers2 = [tuple(p + 2 * draw(st.integers(-3, 3)) for p in parity)]
+    axis = draw(st.integers(0, dim - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        gap = draw(st.sampled_from((r_enl, 30 * r_enl)))
+        last = list(centers2[-1])
+        last[axis] += 2 * gap + 2 * draw(st.integers(0, 2))
+        centers2.append(tuple(last))
+    odd = [c % 2 for c in centers2[0]]
+    cores2 = [sorted({tuple(v - o for v, o in zip(c, odd)),
+                      tuple(v + o for v, o in zip(c, odd))})
+              for c in centers2]
+    tiles = []
+    for _ in range(draw(st.integers(0, 3))):
+        home = draw(st.sampled_from(centers2))
+        r = draw(st.sampled_from(radii))
+        near = (st.integers(-r - 3, -r + 1) | st.integers(r - 2, r + 2)
+                | st.integers(-r, r))
+        corner = [v // 2 + draw(near) for v in home]
+        size = [draw(st.integers(1, 4)) for _ in range(dim)]
+        tiles.append([[a + i for a, i in zip(corner, idx)]
+                      for idx in itertools.product(*map(range, size))])
+    span = max(abs(v) // 2 for c in centers2 for v in c)
+    return (dim, s, case, centers2, cores2, tiles,
+            span + r_enl + draw(st.integers(-2, 8)))
+
+
+@given(_block_configs())
+@settings(max_examples=200, deadline=None)
+def test_construct_blocks_matches_tuple_oracle(config):
+    dim, s, case, centers2, cores2, tiles, radius = config
+    sched = build_schedule("desk", alpha=1.0, rho=2.0, rho_prime=1.5,
+                           s_max=2, delta0=0.5, n0=1, g_delta=2.0, g_n=1.5)
+    window = LatticeBox((0,) * dim, float(radius))
+    cores = {c: np.asarray(k) for c, k in zip(centers2, cores2)}
+    args = (np.asarray(centers2), cores, s, case, None, sched,
+            [_StandInLower(tiles)] if tiles else [], window)
+    radii = sched.radii(s, case)
+    try:
+        levels, error = _blocks_oracle(centers2, tiles, radii, window)
+    except WindowTooSmall as exc:
+        with pytest.raises(WindowTooSmall, match=f"^{re.escape(str(exc))}$"):
+            construct_blocks(*args)
+        return
+    if error is not None:
+        with pytest.raises(SeparationViolated, match=f"^{re.escape(error)}$"):
+            construct_blocks(*args)
+        return
+    fam = construct_blocks(*args)
+    c0 = centers2[0]
+    for got, want in zip((fam.resonant, fam.doubled, fam.enlarged), levels):
+        for c in centers2:
+            step = [(a - b) // 2 for a, b in zip(c, c0)]
+            assert got[c].tolist() == sorted(
+                [x + d for x, d in zip(p, step)] for p in want)
+    assert fam.template2.tolist() == sorted(
+        [2 * x - c for x, c in zip(p, c0)] for p in levels[2])
+    pad = max((max(abs(2 * x - c) for p in level for x, c in zip(p, c0))
+               + 1) // 2 - r for level, r in zip(levels, radii))
+    assert fam.realized_pad == max(pad, 0)
+    for c, core2 in zip(centers2, cores2):
+        assert fam.cores[c].tolist() == [[v // 2 for v in p] for p in core2]
+    rep = verify_block_family(fam, args[6], None)
+    assert dataclasses.replace(rep, pad_ok=True).all_ok
 
 
 # ---------------------------------------------------------------------------
